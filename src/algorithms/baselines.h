@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/undirected_edges.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
 #include "parlib/sort.h"
@@ -40,8 +41,7 @@ struct kruskal_result {
 template <typename Graph>
 kruskal_result msf_kruskal(const Graph& g) {
   const vertex_id n = g.num_vertices();
-  auto all = g.edges();
-  auto half = parlib::filter(all, [](const auto& e) { return e.u < e.v; });
+  auto half = undirected_edges(g);
   parlib::sort_inplace(half, [](const auto& a, const auto& b) {
     return a.w < b.w || (a.w == b.w && (a.u < b.u || (a.u == b.u && a.v < b.v)));
   });

@@ -6,6 +6,10 @@
 // remaining edges, run the parallel greedy matcher on the prefix (an edge
 // joins the matching when it is the best-priority edge at both endpoints),
 // and then pack out edges incident to matched vertices.
+//
+// What is materialized: one m/2 list of prioritized edges (u < v, built
+// straight from the rows by undirected_edges.h, 16 bytes each), each
+// step's prefix and survivors, and per-round flags; no edges() copy.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +17,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/undirected_edges.h"
 #include "parlib/atomics.h"
 #include "parlib/parallel.h"
 #include "parlib/random.h"
@@ -78,16 +83,17 @@ std::vector<edge<typename Graph::weight_type>> maximal_matching(
     std::size_t filter_steps = 3) {
   using W = typename Graph::weight_type;
   const vertex_id n = g.num_vertices();
-  auto all = g.edges();
-  auto half = parlib::filter(all, [](const auto& e) { return e.u < e.v; });
-  std::vector<mm_internal::prio_edge> edges(half.size());
-  parlib::parallel_for(0, half.size(), [&](std::size_t i) {
-    // High bits random, low bits the edge index: priorities are unique (so
-    // two edges can never both claim an endpoint) and below kNoPriority.
-    edges[i] = {half[i].u, half[i].v,
-                ((rng.ith_rand(i) & 0x7FFFFFFFull) << 32) |
-                    static_cast<std::uint32_t>(i)};
-  });
+  // High bits random, low bits the edge's row-order index among the u < v
+  // edges: priorities are unique (so two edges can never both claim an
+  // endpoint) and below kNoPriority.
+  auto edges = map_undirected_edges<mm_internal::prio_edge>(
+      g, undirected_edge_offsets(g),
+      [&](edge_id i, vertex_id u, vertex_id v, W) {
+        return mm_internal::prio_edge{
+            u, v,
+            ((rng.ith_rand(i) & 0x7FFFFFFFull) << 32) |
+                static_cast<std::uint32_t>(i)};
+      });
 
   std::vector<std::uint8_t> matched(n, 0);
   std::vector<std::uint64_t> best(n, mm_internal::kNoPriority);
@@ -96,9 +102,9 @@ std::vector<edge<typename Graph::weight_type>> maximal_matching(
   const std::size_t target = 3 * static_cast<std::size_t>(n) / 2 + 1;
   for (std::size_t step = 0;
        step < filter_steps && edges.size() > 2 * target; ++step) {
-    auto pris = parlib::map(edges, [](const auto& e) { return e.pri; });
     const std::uint64_t pivot = parlib::approximate_kth_smallest(
-        pris, target, parlib::random(0x77 + step));
+        edges.size(), [&](std::size_t i) { return edges[i].pri; }, target,
+        parlib::random(0x77 + step));
     auto prefix = parlib::filter(
         edges, [&](const auto& e) { return e.pri <= pivot; });
     mm_internal::greedy_match<W>(std::move(prefix), matched, best, matching);

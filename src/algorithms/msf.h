@@ -2,13 +2,18 @@
 // priority-writes and pointer-jumping, O(m log n) work and O(log^2 n) depth
 // on the PW-MT-RAM.
 //
-// Following Section 4, the full edge list is never materialized at once in
-// the driver: a constant number of *filtering steps* each (a) select the
-// ~3n/2 lightest remaining edges with an approximate k-th smallest pivot,
-// (b) run Boruvka on that prefix, and (c) pack out edges whose endpoints
-// are now in the same component. The remainder is solved by one final
-// Boruvka call. Ties are broken by original edge index, which makes the
-// chosen forest deterministic and total weight minimal.
+// Following Section 4, a constant number of *filtering steps* each (a)
+// select the ~3n/2 lightest remaining edges with an approximate k-th
+// smallest pivot, (b) run Boruvka on that prefix, and (c) pack out edges
+// whose endpoints are now in the same component. The remainder is solved
+// by one final Boruvka call. Ties are broken by original edge index, which
+// makes the chosen forest deterministic and total weight minimal.
+//
+// What is materialized: one m/2 list of indexed edges (u < v, built
+// straight from the rows by undirected_edges.h, 24 bytes each), the
+// filtering steps' light prefix and survivors, and per-round flags. There
+// is no edges() copy and no table of original edges: a forest edge is
+// recovered from its id (its row-order index) at the end.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +22,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/undirected_edges.h"
 #include "parlib/atomics.h"
 #include "parlib/parallel.h"
 #include "parlib/random.h"
@@ -30,7 +36,7 @@ namespace msf_internal {
 struct indexed_edge {
   vertex_id u, v;
   std::uint32_t w;
-  std::uint64_t id;  // original edge index (tie-breaker)
+  edge_id id;  // row-order index among the u < v edges (tie-breaker)
 };
 
 // (weight, id) packed for priority-writes: lower weight wins, then lower id.
@@ -77,12 +83,11 @@ inline void boruvka(std::vector<vertex_id>& parents,
         parents[e.v] = e.u;
       }
     });
-    auto ids = parlib::map(edges, [](const auto& e) { return e.id; });
-    auto won_ids = parlib::pack(ids, chosen);
+    auto won = parlib::pack(edges, chosen);
     const std::size_t old_size = forest.size();
-    forest.resize(old_size + won_ids.size());
-    parlib::parallel_for(0, won_ids.size(), [&](std::size_t i) {
-      forest[old_size + i] = won_ids[i];
+    forest.resize(old_size + won.size());
+    parlib::parallel_for(0, won.size(), [&](std::size_t i) {
+      forest[old_size + i] = won[i].id;
     });
     // Pointer-jump every touched vertex to its root.
     parlib::parallel_for(0, n, [&](std::size_t v) {
@@ -95,13 +100,13 @@ inline void boruvka(std::vector<vertex_id>& parents,
       best[edges[i].u] = kNoPriority;
       best[edges[i].v] = kNoPriority;
     });
-    std::vector<indexed_edge> next;
-    next.reserve(edges.size());
-    for (auto& e : edges) {
-      const vertex_id ru = parents[e.u], rv = parents[e.v];
-      if (ru != rv) next.push_back({ru, rv, e.w, e.id});
-    }
-    edges.swap(next);
+    edges = parlib::filter(edges, [&](const indexed_edge& e) {
+      return parents[e.u] != parents[e.v];
+    });
+    parlib::parallel_for(0, edges.size(), [&](std::size_t i) {
+      edges[i].u = parents[edges[i].u];
+      edges[i].v = parents[edges[i].v];
+    });
   }
 }
 
@@ -119,16 +124,13 @@ template <typename Graph>
 msf_result msf(const Graph& g, bool use_filtering = true,
                std::size_t filter_steps = 3) {
   const vertex_id n = g.num_vertices();
-  // Each undirected edge once (u < v), with original indices.
-  auto all = g.edges();
-  auto half = parlib::filter(all, [](const auto& e) { return e.u < e.v; });
-  std::vector<msf_internal::indexed_edge> edges(half.size());
-  parlib::parallel_for(0, half.size(), [&](std::size_t i) {
-    edges[i] = {half[i].u, half[i].v, half[i].w, i};
-  });
-  std::vector<edge<std::uint32_t>> originals(half.size());
-  parlib::parallel_for(0, half.size(),
-                       [&](std::size_t i) { originals[i] = half[i]; });
+  using W = typename Graph::weight_type;
+  // Each undirected edge once (u < v), with its row-order index.
+  const auto offsets = undirected_edge_offsets(g);
+  auto edges = map_undirected_edges<msf_internal::indexed_edge>(
+      g, offsets, [](edge_id id, vertex_id u, vertex_id v, W w) {
+        return msf_internal::indexed_edge{u, v, w, id};
+      });
 
   std::vector<vertex_id> parents(n);
   parlib::parallel_for(0, n, [&](std::size_t v) {
@@ -142,9 +144,9 @@ msf_result msf(const Graph& g, bool use_filtering = true,
     for (std::size_t step = 0;
          step < filter_steps && edges.size() > 2 * target; ++step) {
       ++res.num_filter_steps;
-      auto weights = parlib::map(edges, [](const auto& e) { return e.w; });
       const std::uint32_t pivot = parlib::approximate_kth_smallest(
-          weights, target, parlib::random(0x317 + step));
+          edges.size(), [&](std::size_t i) { return edges[i].w; }, target,
+          parlib::random(0x317 + step));
       auto light = parlib::filter(
           edges, [&](const auto& e) { return e.w <= pivot; });
       if (light.empty() || light.size() == edges.size()) break;
@@ -162,10 +164,10 @@ msf_result msf(const Graph& g, bool use_filtering = true,
   }
   msf_internal::boruvka(parents, std::move(edges), forest);
 
-  res.forest.resize(forest.size());
-  parlib::parallel_for(0, forest.size(), [&](std::size_t i) {
-    res.forest[i] = originals[forest[i]];
-  });
+  res.forest = parlib::tabulate<edge<std::uint32_t>>(
+      forest.size(), [&](std::size_t i) {
+        return undirected_edge_at(g, offsets, forest[i]);
+      });
   auto ws = parlib::map(res.forest, [](const auto& e) {
     return static_cast<std::uint64_t>(e.w);
   });

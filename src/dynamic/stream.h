@@ -12,6 +12,7 @@
 
 #include "dynamic/update_batch.h"
 #include "graph/graph.h"
+#include "graph/undirected_edges.h"
 #include "parlib/random.h"
 #include "parlib/sequence_ops.h"
 
@@ -56,13 +57,12 @@ class edge_stream {
   std::size_t pos_ = 0;
 };
 
-// Canonical undirected stream from a symmetric CSR: each edge once, u < v
-// (the dynamic graph re-mirrors on apply).
+// Canonical undirected stream from a symmetric graph: each edge once,
+// u < v (the dynamic graph re-mirrors on apply).
 template <typename G>
 std::vector<edge<typename G::weight_type>> undirected_stream_edges(
     const G& g) {
-  auto all = g.edges();
-  return parlib::filter(all, [](const auto& e) { return e.u < e.v; });
+  return undirected_edges(g);
 }
 
 }  // namespace gbbs::dynamic

@@ -36,9 +36,12 @@ template <typename W>
 std::vector<edge<W>> clean_edges(std::vector<edge<W>> edges, vertex_id n) {
   // Drop edges with endpoints outside [0, n) up front: they would corrupt
   // the CSR offset array. Callers that want them must grow n instead (the
-  // batch-dynamic subsystem does).
-  edges = parlib::filter(
-      edges, [n](const edge<W>& e) { return e.u < n && e.v < n; });
+  // batch-dynamic subsystem does). The usual all-in-range list is kept
+  // as is rather than copied.
+  auto in_range = [n](const edge<W>& e) { return e.u < n && e.v < n; };
+  if (parlib::count_if(edges, in_range) != edges.size()) {
+    edges = parlib::filter(edges, in_range);
+  }
   builder_internal::sort_edges(edges, n);
   auto keep = parlib::tabulate<std::uint8_t>(edges.size(), [&](std::size_t i) {
     const auto& e = edges[i];

@@ -1,10 +1,15 @@
 // The parallel sequence primitives of Section 3: scan, reduce, map/tabulate,
-// filter, pack, pack_index and flatten. All are work-efficient (O(n) work)
-// and low-depth: they use the standard blocked two-pass scheme — a parallel
-// pass computing per-block summaries, a (short) scan over the block
-// summaries, and a parallel pass writing block-local results. With block
-// count ~ n / BLOCK the summary scan is negligible, giving O(n) work and
-// O(BLOCK + n/BLOCK) ~ polylog effective depth for the sizes we run.
+// filter, pack, pack_index, map_maybe and flatten. All are work-efficient
+// (O(n) work) and low-depth: they use the standard blocked two-pass scheme
+// — a parallel pass computing per-block summaries, a (short) scan over the
+// block summaries, and a parallel pass writing block-local results. With
+// block count ~ n / BLOCK the summary scan is negligible, giving O(n) work
+// and O(BLOCK + n/BLOCK) ~ polylog effective depth for the sizes we run.
+//
+// What is materialized: every compaction (filter, pack, pack_index,
+// map_maybe) keeps only its output plus one count per block as scratch,
+// never an n-sized index or flag array; map_maybe also stages each
+// block's kept values before concatenating them.
 #pragma once
 
 #include <cassert>
@@ -171,97 +176,6 @@ scan(const In& in, const Monoid& m) {
   return {std::move(out), total};
 }
 
-// ------------------------------------------------------------ filter/pack
-
-// Returns elements of `in` satisfying `pred`, preserving order.
-template <typename In, typename F>
-auto filter(const In& in, const F& pred) {
-  using T = std::decay_t<decltype(in[0])>;
-  const std::size_t n = in.size();
-  const std::size_t nb = num_blocks(n, kSeqBlockSize);
-  if (nb <= 1) {
-    sequence<T> out;
-    for (std::size_t i = 0; i < n; ++i)
-      if (pred(in[i])) out.push_back(in[i]);
-    return out;
-  }
-  sequence<std::size_t> counts(nb);
-  parallel_for(
-      0, nb,
-      [&](std::size_t b) {
-        const std::size_t lo = b * kSeqBlockSize;
-        const std::size_t hi = std::min(n, lo + kSeqBlockSize);
-        std::size_t c = 0;
-        for (std::size_t i = lo; i < hi; ++i) c += pred(in[i]) ? 1 : 0;
-        counts[b] = c;
-      },
-      1);
-  const std::size_t total = scan_inplace(counts);
-  sequence<T> out(total);
-  parallel_for(
-      0, nb,
-      [&](std::size_t b) {
-        const std::size_t lo = b * kSeqBlockSize;
-        const std::size_t hi = std::min(n, lo + kSeqBlockSize);
-        std::size_t k = counts[b];
-        for (std::size_t i = lo; i < hi; ++i)
-          if (pred(in[i])) out[k++] = in[i];
-      },
-      1);
-  return out;
-}
-
-// Keep in[i] where flags[i] is truthy.
-template <typename In, typename Flags>
-auto pack(const In& in, const Flags& flags) {
-  using T = std::decay_t<decltype(in[0])>;
-  const std::size_t n = in.size();
-  assert(flags.size() == n);
-  sequence<std::size_t> idx(n);
-  parallel_for(0, n,
-               [&](std::size_t i) { idx[i] = flags[i] ? 1 : 0; });
-  const std::size_t total = scan_inplace(idx);
-  sequence<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[idx[i]] = in[i];
-  });
-  return out;
-}
-
-// Indices i (as IdxT) where flags[i] is truthy.
-template <typename IdxT, typename Flags>
-sequence<IdxT> pack_index(const Flags& flags) {
-  const std::size_t n = flags.size();
-  sequence<std::size_t> idx(n);
-  parallel_for(0, n,
-               [&](std::size_t i) { idx[i] = flags[i] ? 1 : 0; });
-  const std::size_t total = scan_inplace(idx);
-  sequence<IdxT> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (flags[i]) out[idx[i]] = static_cast<IdxT>(i);
-  });
-  return out;
-}
-
-// Map f over in, keeping only engaged optionals.
-template <typename In, typename F>
-auto map_maybe(const In& in, const F& f) {
-  using Opt = std::decay_t<decltype(f(in[0]))>;
-  using T = typename Opt::value_type;
-  const std::size_t n = in.size();
-  sequence<Opt> tmp(n);
-  parallel_for(0, n, [&](std::size_t i) { tmp[i] = f(in[i]); });
-  sequence<std::size_t> idx(n);
-  parallel_for(0, n,
-               [&](std::size_t i) { idx[i] = tmp[i].has_value() ? 1 : 0; });
-  const std::size_t total = scan_inplace(idx);
-  sequence<T> out(total);
-  parallel_for(0, n, [&](std::size_t i) {
-    if (tmp[i].has_value()) out[idx[i]] = *tmp[i];
-  });
-  return out;
-}
-
 // --------------------------------------------------------------- flatten
 
 template <typename T>
@@ -277,6 +191,112 @@ sequence<T> flatten(const sequence<sequence<T>>& seqs) {
     for (std::size_t j = 0; j < s.size(); ++j) out[off + j] = s[j];
   });
   return out;
+}
+
+// ------------------------------------------------------------ filter/pack
+
+namespace internal {
+
+// The blocked compaction behind filter, pack and pack_index: a parallel
+// pass counts the kept slots of each kSeqBlockSize block, a scan over the
+// per-block counts gives each block its output offset, and a second
+// parallel pass writes get(i) for every kept slot i. The only scratch is
+// the n / kSeqBlockSize block counts. keep(i) runs twice per slot, so it
+// must be pure.
+template <typename T, typename Keep, typename Get>
+sequence<T> compact(std::size_t n, const Keep& keep, const Get& get) {
+  const std::size_t nb = num_blocks(n, kSeqBlockSize);
+  if (nb <= 1) {
+    sequence<T> out;
+    for (std::size_t i = 0; i < n; ++i)
+      if (keep(i)) out.push_back(get(i));
+    return out;
+  }
+  sequence<std::size_t> counts(nb);
+  parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        const std::size_t lo = b * kSeqBlockSize;
+        const std::size_t hi = std::min(n, lo + kSeqBlockSize);
+        std::size_t c = 0;
+        for (std::size_t i = lo; i < hi; ++i) c += keep(i) ? 1 : 0;
+        counts[b] = c;
+      },
+      1);
+  const std::size_t total = scan_inplace(counts);
+  sequence<T> out(total);
+  parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        const std::size_t lo = b * kSeqBlockSize;
+        const std::size_t hi = std::min(n, lo + kSeqBlockSize);
+        std::size_t k = counts[b];
+        for (std::size_t i = lo; i < hi; ++i)
+          if (keep(i)) out[k++] = get(i);
+      },
+      1);
+  return out;
+}
+
+}  // namespace internal
+
+// Returns elements of `in` satisfying `pred`, preserving order. pred runs
+// twice per element.
+template <typename In, typename F>
+auto filter(const In& in, const F& pred) {
+  using T = std::decay_t<decltype(in[0])>;
+  return internal::compact<T>(
+      in.size(), [&](std::size_t i) { return pred(in[i]); },
+      [&](std::size_t i) { return in[i]; });
+}
+
+// Keep in[i] where flags[i] is truthy.
+template <typename In, typename Flags>
+auto pack(const In& in, const Flags& flags) {
+  using T = std::decay_t<decltype(in[0])>;
+  assert(flags.size() == in.size());
+  return internal::compact<T>(
+      in.size(), [&](std::size_t i) { return static_cast<bool>(flags[i]); },
+      [&](std::size_t i) { return in[i]; });
+}
+
+// Indices i (as IdxT) where flags[i] is truthy.
+template <typename IdxT, typename Flags>
+sequence<IdxT> pack_index(const Flags& flags) {
+  return internal::compact<IdxT>(
+      flags.size(),
+      [&](std::size_t i) { return static_cast<bool>(flags[i]); },
+      [](std::size_t i) { return static_cast<IdxT>(i); });
+}
+
+// Map f over in, keeping only engaged optionals. f runs exactly once per
+// element (callers may update state in it), so each block stages its
+// engaged results locally and flatten concatenates the blocks: the
+// scratch is the staged kept values and one vector per block, never an
+// n-sized array.
+template <typename In, typename F>
+auto map_maybe(const In& in, const F& f) {
+  using Opt = std::decay_t<decltype(f(in[0]))>;
+  using T = typename Opt::value_type;
+  const std::size_t n = in.size();
+  const std::size_t nb = num_blocks(n, kSeqBlockSize);
+  if (nb <= 1) {
+    sequence<T> out;
+    for (std::size_t i = 0; i < n; ++i)
+      if (Opt r = f(in[i])) out.push_back(std::move(*r));
+    return out;
+  }
+  sequence<sequence<T>> blocks(nb);
+  parallel_for(
+      0, nb,
+      [&](std::size_t b) {
+        const std::size_t lo = b * kSeqBlockSize;
+        const std::size_t hi = std::min(n, lo + kSeqBlockSize);
+        for (std::size_t i = lo; i < hi; ++i)
+          if (Opt r = f(in[i])) blocks[b].push_back(std::move(*r));
+      },
+      1);
+  return flatten(blocks);
 }
 
 // iota

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "parlib/parallel.h"
@@ -104,18 +105,21 @@ std::vector<T> sorted(std::vector<T> data, const Less& less = Less{}) {
   return data;
 }
 
-// Approximate k-th smallest (Section 4, MSF filtering): samples
-// O(num_samples) elements and returns the sample value whose rank scales to
-// k. The returned pivot splits `data` into a low side of ~k elements.
-template <typename T, typename Less = std::less<T>>
-T approximate_kth_smallest(const std::vector<T>& data, std::size_t k,
+// Approximate k-th smallest (Section 4, MSF filtering) of the n values
+// key(0), ..., key(n - 1): samples O(num_samples) of them and returns the
+// sample value whose rank scales to k, a pivot splitting the values into a
+// low side of ~k. The accessor lets callers sample a field of their records
+// without first copying it out.
+template <typename Key,
+          typename T = std::decay_t<std::invoke_result_t<Key, std::size_t>>,
+          typename Less = std::less<T>>
+T approximate_kth_smallest(std::size_t n, const Key& key, std::size_t k,
                            random rng, std::size_t num_samples = 1024,
                            const Less& less = Less{}) {
-  const std::size_t n = data.size();
   num_samples = std::min(num_samples, n);
   std::vector<T> samples(num_samples);
   for (std::size_t i = 0; i < num_samples; ++i) {
-    samples[i] = data[rng.ith_rand(i) % n];
+    samples[i] = key(rng.ith_rand(i) % n);
   }
   std::sort(samples.begin(), samples.end(), less);
   const std::size_t rank = std::min(

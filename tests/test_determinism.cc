@@ -4,6 +4,8 @@
 // (Blelloch et al., "Internally deterministic algorithms can be fast").
 // These tests double as cheap race detectors for the whole stack.
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "algorithms/msf.h"
 #include "algorithms/scc.h"
 #include "algorithms/wbfs.h"
+#include "parlib/scheduler.h"
 #include "test_graphs.h"
 
 namespace {
@@ -122,6 +125,32 @@ TEST_P(DeterminismSuite, MsfWeightAndEdgeSet) {
     ASSERT_EQ(b.total_weight, a.total_weight);
     ASSERT_EQ(canon(b), ca) << rep;  // unique given index tie-breaking
   }
+}
+
+// Worker count must not leak into MSF or MM: the forest and the matching
+// come out identical, order included, at 1 worker and at all workers.
+TEST_P(DeterminismSuite, MsfAndMatchingIndependentOfWorkerCount) {
+  auto gw = gbbs::testing::make_symmetric_weighted(GetParam());
+  auto g = gbbs::testing::make_symmetric(GetParam());
+  // In output order; a simple graph's endpoints fix each edge's weight.
+  auto ends = [](const auto& es) {
+    std::vector<std::pair<vertex_id, vertex_id>> out;
+    for (const auto& e : es) out.emplace_back(e.u, e.v);
+    return out;
+  };
+  gbbs::msf_result msf_one;
+  std::vector<gbbs::edge<gbbs::empty_weight>> mm_one;
+  {
+    parlib::active_workers_guard one(1);
+    msf_one = gbbs::msf(gw);
+    mm_one = gbbs::maximal_matching(g, parlib::random(13));
+  }
+  const auto msf_all = gbbs::msf(gw);
+  EXPECT_EQ(ends(msf_all.forest), ends(msf_one.forest));
+  EXPECT_EQ(msf_all.total_weight, msf_one.total_weight);
+  EXPECT_EQ(msf_all.num_filter_steps, msf_one.num_filter_steps);
+  EXPECT_EQ(ends(gbbs::maximal_matching(g, parlib::random(13))),
+            ends(mm_one));
 }
 
 TEST_P(DeterminismSuite, ConnectivityPartition) {

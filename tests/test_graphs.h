@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "dynamic/dynamic_graph.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -100,6 +101,24 @@ inline graph<std::uint32_t> make_symmetric_weighted(const std::string& name,
       g.num_vertices(),
       with_random_weights(unweighted, weight_range(g.num_vertices() + 1),
                           seed));
+}
+
+// The same graph as g, live: every other u < v edge compacted into the
+// base, the rest left in the overlay, so rows merge the two.
+template <typename W>
+dynamic::dynamic_graph<W> split_base_overlay(const graph<W>& g) {
+  auto all = g.edges();
+  std::vector<dynamic::update<W>> base, overlay;
+  for (const auto& e : all) {
+    if (e.u >= e.v) continue;
+    auto& to = (base.size() + overlay.size()) % 2 == 0 ? base : overlay;
+    to.push_back({e.u, e.v, e.w, dynamic::update_op::insert});
+  }
+  dynamic::dynamic_graph<W> dg(g.num_vertices());
+  dg.apply(std::move(base));
+  dg.compact();
+  dg.apply(std::move(overlay));
+  return dg;
 }
 
 }  // namespace gbbs::testing

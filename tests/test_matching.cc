@@ -1,11 +1,13 @@
 // Maximal matching: validity (disjoint + maximal) across the suite, seeds,
 // and filter-step counts.
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algorithms/maximal_matching.h"
+#include "graph/compression/compressed_graph.h"
 #include "seq/reference.h"
 #include "test_graphs.h"
 
@@ -41,6 +43,23 @@ TEST_P(MatchingSuite, FilterStepCountsAgree) {
   ASSERT_TRUE(gbbs::seq::is_valid_maximal_matching(g, b));
   // Same priorities => same greedy matching regardless of filtering.
   EXPECT_EQ(a.size(), b.size());
+}
+
+// Priorities come from row-order edge ids, which every representation
+// shares: the compressed CSR and a live base + overlay graph give the
+// static CSR's matching exactly.
+TEST_P(MatchingSuite, CompressedAndDynamicMatchStatic) {
+  auto g = gbbs::testing::make_symmetric(GetParam());
+  auto ends = [](const std::vector<gbbs::edge<gbbs::empty_weight>>& m) {
+    std::vector<std::pair<vertex_id, vertex_id>> out;
+    for (const auto& e : m) out.emplace_back(e.u, e.v);
+    return out;
+  };
+  const auto want = ends(gbbs::maximal_matching(g, parlib::random(3)));
+  const auto cg = gbbs::compressed_graph<gbbs::empty_weight>::compress(g);
+  const auto dg = gbbs::testing::split_base_overlay(g);
+  EXPECT_EQ(ends(gbbs::maximal_matching(cg, parlib::random(3))), want);
+  EXPECT_EQ(ends(gbbs::maximal_matching(dg, parlib::random(3))), want);
 }
 
 TEST(Matching, PathAlternates) {

@@ -1,11 +1,14 @@
 // MSF vs Kruskal: total weight equality (the MSF invariant), forest
 // validity, filtering vs plain Boruvka agreement.
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algorithms/msf.h"
+#include "graph/compression/compressed_graph.h"
 #include "parlib/union_find.h"
 #include "seq/reference.h"
 #include "test_graphs.h"
@@ -60,6 +63,26 @@ TEST_P(MsfSuite, FilteredAndPlainBoruvkaAgree) {
   auto plain = gbbs::msf(g, /*use_filtering=*/false);
   EXPECT_EQ(filtered.total_weight, plain.total_weight);
   EXPECT_EQ(filtered.forest.size(), plain.forest.size());
+}
+
+// The enumeration reads rows through the graph_view surface only, so the
+// compressed CSR and a live base + overlay graph give the static CSR's
+// forest exactly: same edges in the same order, same weight.
+TEST_P(MsfSuite, CompressedAndDynamicMatchStatic) {
+  auto g = gbbs::testing::make_symmetric_weighted(GetParam());
+  auto ends = [](const gbbs::msf_result& r) {
+    std::vector<std::tuple<vertex_id, vertex_id, std::uint32_t>> out;
+    for (const auto& e : r.forest) out.emplace_back(e.u, e.v, e.w);
+    return out;
+  };
+  const auto want = gbbs::msf(g);
+  const auto cg = gbbs::compressed_graph<std::uint32_t>::compress(g);
+  const auto dg = gbbs::testing::split_base_overlay(g);
+  for (const auto& got : {gbbs::msf(cg), gbbs::msf(dg)}) {
+    EXPECT_EQ(ends(got), ends(want));
+    EXPECT_EQ(got.total_weight, want.total_weight);
+    EXPECT_EQ(got.num_filter_steps, want.num_filter_steps);
+  }
 }
 
 TEST(Msf, UniqueWeightsGiveUniqueForest) {

@@ -1,8 +1,10 @@
 // Tests for scan, reduce, filter, pack, pack_index, flatten, map_maybe —
 // including parameterized sweeps over sizes that cross block boundaries.
+#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -106,6 +108,67 @@ TEST_P(SequenceOpsSizes, CountIfMatchesFilterSize) {
       n, [](std::size_t i) { return parlib::hash64(i); });
   auto pred = [](std::uint64_t v) { return v % 7 < 2; };
   EXPECT_EQ(parlib::count_if(s, pred), parlib::filter(s, pred).size());
+}
+
+// The compactions (pack, pack_index, map_maybe) at sizes around one
+// block (kSeqBlockSize = 2048) and far past it, with every flag pattern a
+// block-count scan can get wrong: all kept, none kept, every other kept.
+enum class flag_pattern { all, none, alternating };
+
+class Compaction : public ::testing::TestWithParam<
+                       std::tuple<std::size_t, flag_pattern>> {
+ protected:
+  std::size_t n() const { return std::get<0>(GetParam()); }
+  bool kept(std::size_t i) const {
+    switch (std::get<1>(GetParam())) {
+      case flag_pattern::all: return true;
+      case flag_pattern::none: return false;
+      case flag_pattern::alternating: return i % 2 == 1;
+    }
+    return false;
+  }
+  std::vector<std::uint8_t> flags() const {
+    return parlib::tabulate<std::uint8_t>(
+        n(), [&](std::size_t i) { return std::uint8_t{kept(i)}; });
+  }
+  std::vector<std::uint64_t> expected_indices() const {
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < n(); ++i)
+      if (kept(i)) out.push_back(i);
+    return out;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndPatterns, Compaction,
+    ::testing::Combine(::testing::Values(0, 1, 2047, 2048, 2049, 100000),
+                       ::testing::Values(flag_pattern::all, flag_pattern::none,
+                                         flag_pattern::alternating)));
+
+TEST_P(Compaction, PackKeepsFlaggedInOrder) {
+  // Values distinct from their indices, so a misplaced write shows.
+  auto s = parlib::tabulate<std::uint64_t>(
+      n(), [](std::size_t i) { return 3 * i + 7; });
+  auto want = expected_indices();
+  for (auto& i : want) i = 3 * i + 7;
+  EXPECT_EQ(parlib::pack(s, flags()), want);
+}
+
+TEST_P(Compaction, PackIndexListsFlaggedPositions) {
+  EXPECT_EQ(parlib::pack_index<std::uint64_t>(flags()), expected_indices());
+}
+
+TEST_P(Compaction, MapMaybeKeepsEngagedAndCallsOnce) {
+  auto s = parlib::iota<std::uint64_t>(n());
+  std::vector<std::atomic<int>> calls(n());
+  auto got = parlib::map_maybe(
+      s, [&](std::uint64_t i) -> std::optional<std::uint64_t> {
+        calls[i].fetch_add(1, std::memory_order_relaxed);
+        if (kept(i)) return i;
+        return std::nullopt;
+      });
+  EXPECT_EQ(got, expected_indices());
+  for (std::size_t i = 0; i < n(); ++i) ASSERT_EQ(calls[i].load(), 1) << i;
 }
 
 TEST(SequenceOps, MapAppliesFunction) {

@@ -172,14 +172,17 @@ int main(int argc, char** argv) {
               gbbs::build_symmetric_graph<empty_weight>(n, stream_edges);
           ok = view.num_vertices() == rebuilt.num_vertices() &&
                view.num_edges() == rebuilt.num_edges();
+          // The row walk advances a cursor, so it must be sequential:
+          // map_out_neighbors runs its callback in parallel on long rows.
           for (vertex_id v = 0; ok && v < n; ++v) {
             auto nb = rebuilt.out_neighbors(v);
             std::size_t j = 0;
-            view.map_out_neighbors(v, [&](vertex_id, vertex_id ngh,
-                                          empty_weight) {
-              if (j >= nb.size() || nb[j] != ngh) ok = false;
-              ++j;
-            });
+            view.map_out_neighbors_early_exit(
+                v, [&](vertex_id, vertex_id ngh, empty_weight) {
+                  if (j >= nb.size() || nb[j] != ngh) ok = false;
+                  ++j;
+                  return ok;
+                });
             ok = ok && j == nb.size();
           }
         }
