@@ -465,8 +465,9 @@ class dynamic_graph {
     std::vector<edge_id> in_off;
     std::vector<vertex_id> in_ngh;
     std::vector<W> in_w;
-    gbbs::internal::csr_from_unsorted(std::move(rev), n_, in_off, in_ngh,
-                                      in_w);
+    gbbs::internal::csr_from_edges(std::move(rev), n_,
+                                   gbbs::internal::entries::forward, in_off,
+                                   in_ngh, in_w);
     return graph<W>(n_, total, /*symmetric=*/false, std::move(offsets),
                     std::move(nghs), std::move(wghs), std::move(in_off),
                     std::move(in_ngh), std::move(in_w));

@@ -8,27 +8,35 @@ namespace gbbs {
 
 namespace {
 
+// The R-MAT draws below are p = k * 2^-53 for an integer k < 2^53, so
+// p < x holds exactly when k < draw_threshold(x): the quadrant choice
+// needs no int-to-double conversion.
+std::uint64_t draw_threshold(double x) {
+  if (!(x > 0)) return 0;
+  if (x >= 1) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(x, 53)));
+}
+
 // One R-MAT edge: descend `scale` levels of the quadrant recursion, choosing
-// a quadrant per level from an independent hash draw.
-edge<empty_weight> rmat_one(std::uint32_t scale, std::uint64_t index,
-                            parlib::random rng, double a, double b,
-                            double c) {
+// a quadrant per level from an independent hash draw. The draw of level l
+// is rng.fork(index).ith_uniform(l); edge_seed = rng.ith_rand(index) is
+// the forked stream's seed and level_hash[l] = hash64(l) its inner hash,
+// the same for every edge, so it is computed once per call. Quadrants:
+// p < a top-left, else p < a+b top-right (v bit), else p < a+b+c
+// bottom-left (u bit), else bottom-right (both), evaluated without
+// branches since the draws are random.
+edge<empty_weight> rmat_one(std::uint32_t scale, std::uint64_t edge_seed,
+                            const std::uint64_t* level_hash, std::uint64_t ta,
+                            std::uint64_t tab, std::uint64_t tabc) {
   vertex_id u = 0, v = 0;
-  const parlib::random er = rng.fork(index);
   for (std::uint32_t level = 0; level < scale; ++level) {
-    const double p = er.ith_uniform(level);
-    u <<= 1;
-    v <<= 1;
-    if (p < a) {
-      // top-left: both bits 0
-    } else if (p < a + b) {
-      v |= 1;
-    } else if (p < a + b + c) {
-      u |= 1;
-    } else {
-      u |= 1;
-      v |= 1;
-    }
+    const std::uint64_t k =
+        parlib::hash64(edge_seed ^ level_hash[level]) >> 11;
+    const vertex_id not_a = k >= ta;
+    const vertex_id lt_ab = k < tab;
+    const vertex_id lt_abc = k < tabc;
+    u = (u << 1) | (not_a & (lt_ab ^ 1));
+    v = (v << 1) | (not_a & (lt_ab | (lt_abc ^ 1)));
   }
   return {u, v, {}};
 }
@@ -37,10 +45,16 @@ edge<empty_weight> rmat_one(std::uint32_t scale, std::uint64_t index,
 
 edge_list rmat_edges(std::uint32_t scale, std::size_t num_edges,
                      std::uint64_t seed, double a, double b, double c) {
-  parlib::random rng(seed);
+  const parlib::random rng(seed);
+  std::vector<std::uint64_t> level_hash(scale);
+  for (std::uint32_t l = 0; l < scale; ++l) level_hash[l] = parlib::hash64(l);
+  const std::uint64_t ta = draw_threshold(a);
+  const std::uint64_t tab = draw_threshold(a + b);
+  const std::uint64_t tabc = draw_threshold(a + b + c);
   edge_list edges(num_edges);
   parlib::parallel_for(0, num_edges, [&](std::size_t i) {
-    edges[i] = rmat_one(scale, i, rng, a, b, c);
+    edges[i] =
+        rmat_one(scale, rng.ith_rand(i), level_hash.data(), ta, tab, tabc);
   });
   return edges;
 }

@@ -64,7 +64,13 @@ scheduler::scheduler(std::size_t num_workers)
 
 scheduler::~scheduler() {
   shutting_down_.store(true, std::memory_order_release);
+  wake_parked();
   for (auto& t : threads_) t.join();
+}
+
+void scheduler::wake_parked() {
+  park_epoch_.fetch_add(1, std::memory_order_release);
+  park_epoch_.notify_all();
 }
 
 std::size_t scheduler::worker_id() const { return tls_worker_id; }
@@ -106,6 +112,7 @@ void scheduler::set_active_workers(std::size_t n) {
   if (n == 0) n = 1;
   if (n > num_workers_) n = num_workers_;
   active_workers_.store(n, std::memory_order_relaxed);
+  wake_parked();
 }
 
 void scheduler::worker_loop(std::size_t id) {
@@ -113,7 +120,16 @@ void scheduler::worker_loop(std::size_t id) {
   std::uint64_t rng = 0x9E3779B97F4A7C15ULL * (id + 1);
   std::size_t idle_spins = 0;
   while (!shutting_down_.load(std::memory_order_acquire)) {
-    if (id >= num_active_workers() || !steal_and_run(rng)) {
+    // Inactive: park until set_active_workers or teardown bumps the epoch.
+    // Reading the epoch first means a bump after the check is not missed.
+    const std::uint32_t epoch = park_epoch_.load(std::memory_order_acquire);
+    if (id >= num_active_workers()) {
+      if (!shutting_down_.load(std::memory_order_acquire)) {
+        park_epoch_.wait(epoch, std::memory_order_acquire);
+      }
+      continue;
+    }
+    if (!steal_and_run(rng)) {
       if (++idle_spins > 64) {
         std::this_thread::yield();
         idle_spins = 0;

@@ -243,6 +243,8 @@ class scheduler {
   // Restrict execution to the first `n` workers (1 <= n <= num_workers()).
   // With n == 1, par_do runs both branches inline sequentially — for every
   // thread, external workers included (the T(1) measurement contract).
+  // Native workers beyond the first n park (an atomic wait, no spinning)
+  // until a later call or teardown wakes them.
   void set_active_workers(std::size_t n);
   std::size_t num_active_workers() const {
     return active_workers_.load(std::memory_order_relaxed);
@@ -312,15 +314,20 @@ class scheduler {
     return total;
   }
 
+  // A stand-alone scheduler; everything else uses instance(). The calling
+  // thread becomes worker 0, and worker ids are per thread, not per
+  // scheduler, so only a thread that already is worker 0 of instance()
+  // (the main thread) may construct one — tests use this to tear a
+  // scheduler down.
+  explicit scheduler(std::size_t num_workers);
   ~scheduler();
 
   scheduler(const scheduler&) = delete;
   scheduler& operator=(const scheduler&) = delete;
 
  private:
-  explicit scheduler(std::size_t num_workers);
-
   void worker_loop(std::size_t id);
+  void wake_parked();
   // Steal one job from a random victim and run it; returns whether one ran.
   bool steal_and_run(std::uint64_t& rng_state);
   void wait_for(internal::job& j);
@@ -328,6 +335,9 @@ class scheduler {
   std::size_t num_workers_;
   std::atomic<std::size_t> active_workers_;
   std::atomic<bool> shutting_down_{false};
+  // Bumped (and waited on by parked workers) whenever the active set
+  // changes or the scheduler shuts down.
+  std::atomic<std::uint32_t> park_epoch_{0};
   // Fixed slot table: [0, num_workers_) native, the rest claimable by
   // external threads. Deque storage is preallocated so a slot's deque is
   // valid for stealing the instant slot_limit_ covers it.

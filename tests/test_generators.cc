@@ -1,11 +1,13 @@
 // Tests for the synthetic graph generators (DESIGN.md §1 substitutions).
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "parlib/random.h"
 
 namespace {
 
@@ -25,6 +27,64 @@ TEST(Generators, RmatDeterministicInSeed) {
     if (a[i].u != c[i].u || a[i].v != c[i].v) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
+}
+
+// R-MAT edge i as the plain formula: the draw of level l is
+// random(seed).fork(i).ith_uniform(l), compared against the cumulative
+// quadrant probabilities in doubles.
+std::pair<vertex_id, vertex_id> rmat_formula(std::uint32_t scale,
+                                             std::size_t i,
+                                             std::uint64_t seed, double a,
+                                             double b, double c) {
+  const parlib::random er = parlib::random(seed).fork(i);
+  vertex_id u = 0, v = 0;
+  for (std::uint32_t level = 0; level < scale; ++level) {
+    const double p = er.ith_uniform(level);
+    u <<= 1;
+    v <<= 1;
+    if (p < a) {
+      // top-left: both bits 0
+    } else if (p < a + b) {
+      v |= 1;
+    } else if (p < a + b + c) {
+      u |= 1;
+    } else {
+      u |= 1;
+      v |= 1;
+    }
+  }
+  return {u, v};
+}
+
+TEST(Generators, RmatMatchesPerLevelForkedDraws) {
+  for (std::uint32_t scale : {1u, 5u, 10u, 17u, 20u}) {
+    for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{42},
+                               (std::uint64_t{1} << 40) | 3}) {
+      const auto edges = gbbs::rmat_edges(scale, 3000, seed);
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        const auto [u, v] = rmat_formula(scale, i, seed, 0.57, 0.19, 0.19);
+        ASSERT_EQ(edges[i].u, u) << "scale " << scale << " seed " << seed
+                                 << " edge " << i;
+        ASSERT_EQ(edges[i].v, v) << "scale " << scale << " seed " << seed
+                                 << " edge " << i;
+      }
+    }
+  }
+}
+
+TEST(Generators, RmatMatchesFormulaForOtherQuadrantSplits) {
+  // Uniform, skewed, and degenerate splits (an empty quadrant, and
+  // probabilities summing past 1).
+  const double splits[][3] = {
+      {0.25, 0.25, 0.25}, {0.45, 0.15, 0.15}, {0.7, 0.0, 0.3}, {0.6, 0.3, 0.3}};
+  for (const auto& q : splits) {
+    const auto edges = gbbs::rmat_edges(12, 4000, 9, q[0], q[1], q[2]);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const auto [u, v] = rmat_formula(12, i, 9, q[0], q[1], q[2]);
+      ASSERT_EQ(edges[i].u, u) << "a=" << q[0] << " edge " << i;
+      ASSERT_EQ(edges[i].v, v) << "a=" << q[0] << " edge " << i;
+    }
+  }
 }
 
 TEST(Generators, RmatVerticesInRange) {

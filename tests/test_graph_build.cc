@@ -1,7 +1,10 @@
 // Tests for CSR construction: sorting, dedup, self-loop removal,
-// symmetrization, in-CSR transposition, pack_out, filter_graph.
+// symmetrization, in-CSR transposition, pack_out, filter_graph, and the
+// two-level builder against a sequential stable-sort reference.
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 #include "graph/graph_builder.h"
 #include "parlib/atomics.h"
 #include "parlib/random.h"
+#include "parlib/scheduler.h"
 
 namespace {
 
@@ -219,6 +223,205 @@ TEST(GraphBuild, OutOfRangeEndpointsAreDropped) {
   EXPECT_EQ(d.num_edges(), 2u);
   EXPECT_EQ(d.out_degree(0), 1u);
   EXPECT_EQ(d.out_degree(1), 1u);
+}
+
+// ---- builder equivalence ------------------------------------------------
+
+using gbbs::edge_id;
+using gbbs::internal::entries;
+
+template <typename W>
+struct csr_arrays {
+  std::vector<edge_id> offsets;
+  std::vector<vertex_id> nghs;
+  std::vector<W> wghs;
+};
+
+template <typename W>
+W weight_of(std::uint64_t i) {
+  if constexpr (std::is_same_v<W, empty_weight>) {
+    return {};
+  } else {
+    return static_cast<W>(parlib::hash64(i));
+  }
+}
+
+// The builder's contract, sequentially: entries in the order "every
+// forward entry, then every reversal", minus self-loops and out-of-range
+// endpoints, stably sorted by (row, neighbor); of a repeated pair the
+// first entry (and its weight) stays.
+template <typename W>
+csr_arrays<W> reference_csr(vertex_id n, const std::vector<edge<W>>& edges,
+                            entries which) {
+  std::vector<edge<W>> list;
+  if (which != entries::reverse) list = edges;
+  if (which != entries::forward) {
+    for (const auto& e : edges) list.push_back({e.v, e.u, e.w});
+  }
+  std::erase_if(list, [n](const edge<W>& e) {
+    return e.u >= n || e.v >= n || e.u == e.v;
+  });
+  std::stable_sort(list.begin(), list.end(),
+                   [](const edge<W>& a, const edge<W>& b) {
+                     return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+                   });
+  list.erase(std::unique(list.begin(), list.end(),
+                         [](const edge<W>& a, const edge<W>& b) {
+                           return a.u == b.u && a.v == b.v;
+                         }),
+             list.end());
+  csr_arrays<W> out;
+  out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& e : list) ++out.offsets[e.u + 1];
+  std::partial_sum(out.offsets.begin(), out.offsets.end(),
+                   out.offsets.begin());
+  for (const auto& e : list) {
+    out.nghs.push_back(e.v);
+    if constexpr (!std::is_same_v<W, empty_weight>) out.wghs.push_back(e.w);
+  }
+  return out;
+}
+
+// Random endpoints in [0, n + 3) (so some fall outside [0, n)), every
+// 7th edge a self-loop, every 5th a repeat of an earlier edge in either
+// orientation with a different weight, then `hub` edges at vertex 0 in
+// both orientations (with repeats among them).
+template <typename W>
+std::vector<edge<W>> messy_edges(vertex_id n, std::size_t m,
+                                 std::size_t hub, std::uint64_t seed) {
+  const parlib::random rng(seed);
+  const std::uint64_t range = std::uint64_t{n} + 3;
+  std::vector<edge<W>> edges;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::uint64_t r = rng.ith_rand(i);
+    auto u = static_cast<vertex_id>(r % range);
+    auto v = static_cast<vertex_id>((r >> 32) % range);
+    if (i % 7 == 3) v = u;
+    if (i % 5 == 4) {
+      const auto& e = edges[r % i];
+      u = (r & 1) ? e.v : e.u;
+      v = (r & 1) ? e.u : e.v;
+    }
+    edges.push_back({u, v, weight_of<W>(i)});
+  }
+  for (std::size_t i = 0; i < hub && n > 1; ++i) {
+    const std::uint64_t r = rng.ith_rand(m + i);
+    const auto v = static_cast<vertex_id>(r % std::min<std::uint64_t>(n, hub));
+    edges.push_back(i % 3 == 0 ? edge<W>{v, 0, weight_of<W>(m + i)}
+                               : edge<W>{0, v, weight_of<W>(m + i)});
+  }
+  return edges;
+}
+
+template <typename W>
+void expect_same(const csr_arrays<W>& got, const csr_arrays<W>& want) {
+  ASSERT_EQ(got.offsets, want.offsets);
+  ASSERT_EQ(got.nghs, want.nghs);
+  ASSERT_EQ(got.wghs, want.wghs);
+}
+
+struct build_case {
+  vertex_id n;
+  std::size_t m;
+  std::size_t hub;
+};
+
+// n = 0 and 1, a non-power of two, an id width of 14 bits and one of 23
+// (past two neighbor-digit passes, and neither a multiple of the 11
+// bucket bits), and a hub row that alone exceeds the parallel-bucket
+// threshold in every orientation.
+const build_case kCases[] = {
+    {0, 50, 0},          {1, 50, 10},    {7, 200, 0},
+    {(1u << 13) + 5, 20000, 0},          {(1u << 22) + 3, 5000, 0},
+    {5000, 20000, 4 * gbbs::internal::kParallelBucket},
+};
+
+template <typename W>
+void check_against_reference(std::size_t workers) {
+  parlib::active_workers_guard guard(workers);
+  std::uint64_t seed = 1;
+  for (const auto& c : kCases) {
+    const auto edges = messy_edges<W>(c.n, c.m, c.hub, seed++);
+    for (entries which :
+         {entries::forward, entries::reverse, entries::both}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << c.n << " m=" << edges.size() << " entries="
+                   << static_cast<int>(which) << " workers=" << workers);
+      csr_arrays<W> got;
+      gbbs::internal::csr_from_edges(edges, c.n, which, got.offsets,
+                                     got.nghs, got.wghs);
+      expect_same(got, reference_csr(c.n, edges, which));
+    }
+  }
+}
+
+TEST(GraphBuildEquivalence, UnweightedAtOneWorker) {
+  check_against_reference<empty_weight>(1);
+}
+
+TEST(GraphBuildEquivalence, UnweightedAtAllWorkers) {
+  check_against_reference<empty_weight>(parlib::num_workers());
+}
+
+TEST(GraphBuildEquivalence, WeightedAtOneWorker) {
+  check_against_reference<std::uint32_t>(1);
+}
+
+TEST(GraphBuildEquivalence, WeightedAtAllWorkers) {
+  check_against_reference<std::uint32_t>(parlib::num_workers());
+}
+
+TEST(GraphBuildEquivalence, FirstWeightWinsBetweenEdgeAndReversal) {
+  // (0,1) appears as the original (1,0,5) and as the reversal of
+  // (0,1,7), which comes later in the virtual order; (1,0) the opposite.
+  std::vector<edge<std::uint32_t>> edges = {{1, 0, 5}, {0, 1, 7}, {0, 1, 9}};
+  auto g = gbbs::build_symmetric_graph<std::uint32_t>(2, edges);
+  ASSERT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(g.out_weight(0, 0), 7u);  // original (0,1,7) precedes reversals
+  EXPECT_EQ(g.out_weight(1, 0), 5u);  // original (1,0,5)
+}
+
+template <typename W>
+csr_arrays<W> out_arrays(const gbbs::graph<W>& g, bool in) {
+  csr_arrays<W> a;
+  a.offsets.push_back(0);
+  for (vertex_id v = 0; v < g.num_vertices(); ++v) {
+    const auto nghs = in ? g.in_neighbors(v) : g.out_neighbors(v);
+    for (std::size_t j = 0; j < nghs.size(); ++j) {
+      a.nghs.push_back(nghs[j]);
+      if constexpr (!std::is_same_v<W, empty_weight>) {
+        a.wghs.push_back(in ? g.in_weight(v, j) : g.out_weight(v, j));
+      }
+    }
+    a.offsets.push_back(a.nghs.size());
+  }
+  return a;
+}
+
+TEST(GraphBuildEquivalence, AsymmetricInCsrIsTransposeOfOutCsr) {
+  for (std::size_t workers : {std::size_t{1}, parlib::num_workers()}) {
+    parlib::active_workers_guard guard(workers);
+    const vertex_id n = 5000;
+    const auto edges = messy_edges<std::uint32_t>(
+        n, 30000, 4 * gbbs::internal::kParallelBucket, 99);
+    auto g = gbbs::build_asymmetric_graph<std::uint32_t>(n, edges);
+    const auto out = out_arrays(g, /*in=*/false);
+    const auto in = out_arrays(g, /*in=*/true);
+    expect_same(out, reference_csr(n, edges, entries::forward));
+    expect_same(in, reference_csr(n, edges, entries::reverse));
+    std::vector<std::tuple<vertex_id, vertex_id, std::uint32_t>> fwd, bwd;
+    for (vertex_id v = 0; v < n; ++v) {
+      for (edge_id e = out.offsets[v]; e < out.offsets[v + 1]; ++e) {
+        fwd.emplace_back(v, out.nghs[e], out.wghs[e]);
+      }
+      for (edge_id e = in.offsets[v]; e < in.offsets[v + 1]; ++e) {
+        bwd.emplace_back(in.nghs[e], v, in.wghs[e]);
+      }
+    }
+    std::sort(bwd.begin(), bwd.end());
+    EXPECT_EQ(fwd, bwd);
+    EXPECT_EQ(g.num_edges(), fwd.size());
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // in the TSan CI job — the deque orderings use seq_cst accesses at the
 // Dekker points precisely so TSan models them exactly.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -117,6 +119,41 @@ TEST(Scheduler, ActiveWorkersGuardRestores) {
     EXPECT_EQ(sum, 1000);
   }
   EXPECT_EQ(parlib::num_active_workers(), before);
+}
+
+TEST(Scheduler, WorkersStealAgainAfterOneWorkerScope) {
+  {
+    parlib::active_workers_guard one(1);
+    // Long enough for workers 1..3 to reach their parking point.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  // The guard's restore must wake the parked workers: forked work gets
+  // stolen again. Retry a few loops, since one may finish before any
+  // thief gets there.
+  const std::uint64_t before = parlib::scheduler::instance().total_steals();
+  std::atomic<std::uint64_t> sink{0};
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    parlib::parallel_for(
+        0, 256,
+        [&](std::size_t i) {
+          std::uint64_t x = i;
+          for (int k = 0; k < 2000; ++k) x = x * 6364136223846793005ULL + 1;
+          sink.fetch_add(x, std::memory_order_relaxed);
+        },
+        1);
+    if (parlib::scheduler::instance().total_steals() > before) break;
+  }
+  EXPECT_GT(parlib::scheduler::instance().total_steals(), before);
+}
+
+TEST(Scheduler, TeardownJoinsParkedWorkers) {
+  // A stand-alone scheduler whose workers 1..3 are parked must still
+  // join them on destruction (a hang here times the test out).
+  auto s = std::make_unique<parlib::scheduler>(4);
+  s->set_active_workers(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  s.reset();
+  EXPECT_EQ(parlib::worker_id(), 0u);
 }
 
 TEST(Scheduler, SkewedWorkIsBalanced) {
