@@ -343,17 +343,4 @@ query_result execute_fresh_query(
   return r;
 }
 
-// Backwards-compatible name for the point-read-only entry point (the
-// fresh path now serves every kind). Pre: any kind is fine.
-template <typename W>
-query_result execute_point_query(const overlay_snapshot<W>& idx,
-                                 const query& q) {
-  // The shared_ptr aliasing constructor keeps no ownership: callers of
-  // this legacy signature already guarantee idx outlives the call.
-  return execute_fresh_query(
-      std::shared_ptr<const overlay_snapshot<W>>(
-          std::shared_ptr<const overlay_snapshot<W>>{}, &idx),
-      q);
-}
-
 }  // namespace gbbs::serve

@@ -1,24 +1,24 @@
 // Reader pool: N threads draining a queue of typed queries.
 //
-// Routing. When the engine was given an overlay_view, *every* query kind
-// defaults to the freshest overlay index — point reads straight off it,
-// traversal analytics (bfs / kcore / triangles / connectivity refinement)
-// through the overlay-fused dynamic_view — so analytics freshness matches
-// the point-read path and no query materializes the merged CSR. A query
-// with `stale = true` — and every query, when no overlay is wired — pins
-// the store's latest published version right before executing, holds the
-// pin for exactly the query's duration, and records the version in the
-// result (stale analytics use the version's memoized merged CSR).
+// View selection. A query the result cache does not answer is routed by
+// select_view(), the engine's one policy, and executed at one site:
 //
-// Sharded routing. When the engine was given a shard_router (the sharded
-// ingest path, see sharded_ingest.h), per-vertex point reads (degree /
-// neighbors) go to the *owning* shard's seqlock overlay_view — no
-// cross-shard coordination on the read hot path, freshness = that shard's
-// last apply. Everything else — connectivity point reads, whose labels
-// are only merged across shards at the composite-publish barrier, and
-// whole-graph analytics, which need all shards at one clock value — pins
-// the latest composite version (execute_query routes through the stitched
-// composite payload).
+//   fresh source   query                            served from
+//   any            q.stale                          pinned version, stale
+//   overlay        analytics at brownout >= 1,      pinned version, stale,
+//                  lag <= degraded_staleness_bound  degraded + staleness
+//   overlay        everything else                  fresh overlay index
+//   shard router   degree / neighbors               owner shard's index
+//   any            everything else, or no index     pinned version
+//   any            nothing to pin                   unavailable
+//
+// "Stale" executes against the pinned version's memoized merged CSR (the
+// stitched CSR for sharded versions). Fresh analytics traverse base ⊕
+// overlay fused (dynamic_view) and never materialize it; non-stale pinned
+// analytics traverse the version's overlay or composite view. A pin is
+// held for exactly the query's execution, and the result records the
+// version (and, when fresh, the overlay epoch). Connectivity point reads
+// in sharded mode pin because labels merge only at the composite barrier.
 //
 // The pool runs concurrently with the single writer publishing into the
 // same snapshot_store — admission control is the lock-free pin (or the
@@ -32,68 +32,47 @@
 // immediately with status = rejected (dropped() counts them); `block`
 // makes submit wait for space — backpressure on the producer.
 //
-// Robustness (PR 8). Queries may carry a relative deadline: one that
-// expires while queued resolves timed_out without executing, and one that
-// expires mid-flight is stopped cooperatively — the reader binds a
-// cancellation token (parlib/cancellation.h) for the execution, edge_map
-// and the bucketing executor poll it, and par_do propagates it into
-// stolen subtasks, so the whole traversal tree unwinds and the partial
-// result is discarded. Every future resolves with exactly one
-// query_status. Under overload a brownout controller (options.brownout)
-// walks the degradation ladder documented on query_engine_options —
-// degrade analytics to the published merged CSR (bounded staleness),
-// then shed by priority — keeping point reads live until the queue is
-// hard-full. Failpoints (robust/failpoint.h) can force every one of
-// these paths deterministically.
+// Robustness. Queries may carry a relative deadline: one that expires
+// while queued resolves timed_out without executing, and one that expires
+// mid-flight is stopped cooperatively — the reader binds a cancellation
+// token (parlib/cancellation.h) for the execution, edge_map and the
+// bucketing executor poll it, and par_do propagates it into stolen
+// subtasks, so the whole traversal tree unwinds and the partial result is
+// discarded. Every future resolves with exactly one query_status. Under
+// overload a brownout controller (options.brownout) walks the ladder
+// documented on query_engine_options — degrade analytics to the stale
+// path (bounded staleness), then shed by priority — keeping point reads
+// live until the queue is hard-full. Failpoints (robust/failpoint.h) can
+// force every one of these paths deterministically.
 //
-// SLO + stage accounting (the obs layer). Every query is decomposed into
-// the three pipeline stages — queue wait (submit -> dequeue), view
-// selection (dequeue -> overlay read / version pin / stale-routing
-// decision), execute — and each stage plus the total client-observed
-// latency is recorded into worker-sharded obs::histograms (bounded
-// memory, exact counts/maxima, bucket-estimated percentiles; one lock-free
-// sharded increment per stage on the hot path). The per-kind histograms
-// are attached to the global obs registry as "serve.query.*" for the
-// -metrics-json / live-endpoint exports, and fold into registry-owned
-// totals when the engine is destroyed. When the options carry SLO targets
-// (one for point reads, one for analytics), per-kind violations are
-// counted exactly. latency_by_kind() summarizes count / p50 / p99 / max /
-// violations plus the queue-wait and execute breakdown per kind — the
-// numbers run_serve prints and bench_serve -json emits, so per-kind
-// latency regressions (and submit-queue backpressure, previously hidden
-// inside the total) surface in CI.
+// SLO + stage accounting. Every query is split into queue wait (submit ->
+// dequeue), view selection (dequeue -> select_view done) and execute, each
+// recorded with the client-observed total into worker-sharded
+// obs::histograms (bounded memory, exact counts/maxima, bucket-estimated
+// percentiles). The per-kind histograms are attached to the global obs
+// registry as "serve.query.*" and fold into registry-owned totals when the
+// engine is destroyed. With SLO targets set (one for point reads, one for
+// analytics), per-kind violations are counted exactly. latency_by_kind()
+// summarizes count / p50 / p99 / max / violations plus the queue-wait and
+// execute breakdown per kind — what run_serve prints and bench_serve
+// -json emits.
 //
-// Scheduler participation. Every reader thread registers itself with the
-// parlib scheduler (worker_guard) at pool startup, so query-internal
-// par_do forks land on the reader's *own* deque — stealable by native
-// workers and by the other readers' waiting frames — instead of funneling
-// through deque 0 as unknown threads used to. N concurrent analytics
-// queries therefore fork from N distinct deques at full parallelism. The
-// engine measures where forks land (scheduler::push_count on the reader's
-// slot, flushed into parlib::event_counters::sched_reader_forks once per
-// query) so tests and benches can assert the registration is effective.
-//
-// Adaptive stale-routing (options.stale_auto). The fresh analytics path
-// traverses base ⊕ overlay fused per neighbor — never materializing the
-// merged CSR — which is the right trade while the graph keeps changing.
-// But an analytics-heavy stretch on an *unchanged* graph amortizes the
-// version's memoized merge: after stale_auto_threshold consecutive
-// analytics against one (version, epoch), the engine auto-routes further
-// analytics to the latest *published* version's merged CSR — but only
-// when that version covers exactly the same updates as the fresh overlay
-// (snap.updates_ingested == overlay epoch), so routed results are
-// identical to fresh ones and freshness is never silently lost. The
-// manual q.stale flag remains an unconditional override.
+// Scheduler participation. Every reader thread registers with the parlib
+// scheduler (worker_guard) at pool startup, so query-internal par_do
+// forks land on the reader's own deque, stealable by native workers and
+// by the other readers' waiting frames. The engine counts where forks
+// land (scheduler::push_count on the reader's slot, flushed into
+// parlib::event_counters::sched_reader_forks once per query).
 //
 // Result cache (options.cache — see result_cache.h). When wired, a
 // non-stale query first consults the cache ("serve.cache.lookup" span): a
-// hit skips execution entirely and is provably identical to re-executing
-// fresh (the cache's read-set/epoch check). Misses execute normally with
-// a read-set recorder threaded through the traversal and publish the
-// result back. The same cache instance must be attached to the ingest
-// manager (attach_cache) so batches invalidate it; the engine and the
-// manager must share one cache, and one engine serves one ingest domain.
-// Explicitly-stale, degraded, and non-ok results are never cached.
+// hit skips view selection and execution and is provably identical to
+// re-executing fresh (the cache's read-set/epoch check). Misses execute
+// with a read-set recorder threaded through the traversal and publish the
+// result back at the epoch select_view chose. The same cache instance must
+// be attached to the ingest manager (attach_cache) so batches invalidate
+// it; one engine serves one ingest domain. Stale, degraded, and non-ok
+// results are never cached.
 //
 // Standing queries (subscribe()). A subscription registers a watch
 // evaluated once at registration and then re-evaluated only when an
@@ -243,8 +222,8 @@ class subscription {
 };
 
 struct query_engine_options {
-  // Max queries waiting in the submit queue; 0 = unbounded (the PR-2
-  // behavior). In-flight queries (being executed) don't count.
+  // Max queries waiting in the submit queue; 0 = unbounded. In-flight
+  // queries (being executed) don't count.
   std::size_t max_queue = 0;
   enum class overflow_policy : std::uint8_t {
     reject,  // overflowing submit resolves immediately, rejected = true
@@ -258,20 +237,12 @@ struct query_engine_options {
   double slo_point_s = 0;
   double slo_analytics_s = 0;
 
-  // Adaptive stale-routing: after `stale_auto_threshold` consecutive
-  // analytics against one unchanged (version, epoch), route further
-  // analytics to the published version's memoized merged CSR — only when
-  // lossless (the published version covers the same updates as the fresh
-  // overlay). The manual query.stale flag still forces the stale path.
-  bool stale_auto = false;
-  std::uint32_t stale_auto_threshold = 4;
-
   // Brownout controller (overload protection). When enabled, submit-side
   // admission walks a degradation ladder driven by queue depth (and,
   // optionally, the all-kind queue-wait p99):
   //   level 0  normal
-  //   level 1  degrade: analytics answered from the published memoized
-  //            merged CSR with a bounded-staleness annotation
+  //   level 1  degrade: analytics take the stale path (the published
+  //            memoized merged CSR) with a bounded-staleness annotation
   //            (result.degraded / result.staleness)
   //   level 2  + shed low-priority analytics (status = rejected)
   //   level 3  + shed all analytics; point reads stay admitted until the
@@ -326,7 +297,7 @@ class query_engine {
   explicit query_engine(const snapshot_store<W>& store,
                         std::size_t num_readers = 4,
                         query_engine_options options = {})
-      : query_engine(store, nullptr, num_readers, options) {}
+      : query_engine(store, nullptr, num_readers, options, {}) {}
 
   // Sharded engine: per-vertex point reads route to the owning shard's
   // overlay (router = manager.router()); everything else pins the latest
@@ -340,90 +311,8 @@ class query_engine {
   // (pass &manager.overlay()) unless a query asks for `stale`.
   query_engine(const snapshot_store<W>& store,
                const overlay_view<W>* overlay, std::size_t num_readers = 4,
-               query_engine_options options = {},
-               shard_router<W> router = {})
-      : store_(store),
-        overlay_(overlay),
-        router_(std::move(router)),
-        options_(options) {
-    if (num_readers == 0) num_readers = 1;
-    // Materialize the scheduler from the constructing thread before any
-    // reader runs: if this were the process's first scheduler touch, a
-    // transient reader thread would otherwise be bound as native worker 0
-    // (see scheduler.h) and orphan that slot at engine shutdown.
-    parlib::scheduler::instance();
-    // Flight recorder + exemplar store before the first traced query, so
-    // the scheduler hook and registry callbacks are installed (both are
-    // idempotent leaked singletons). Intern the per-kind timeline names
-    // once; the reader loop stamps them on query spans.
-    auto& fr = obs::flight_recorder::global();
-    obs::exemplar_store::global();
-    for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
-      kind_name_ids_[k] = fr.intern(
-          "serve.query." +
-          std::string(query_kind_name(static_cast<query_kind>(k))));
-    }
-    timed_out_name_id_ = fr.intern("serve.query.timed_out");
-    cancelled_name_id_ = fr.intern("serve.query.cancelled");
-    brownout_name_id_ = fr.intern("serve.brownout.level");
-    // Export the per-kind stage histograms through the obs registry (live
-    // while the engine runs; folded into registry-owned totals on
-    // destruction so at-exit snapshots keep them).
-    auto& reg = obs::registry::global();
-    for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
-      const std::string kind = query_kind_name(static_cast<query_kind>(k));
-      registrations_.push_back(reg.attach_histogram(
-          "serve.query.latency." + kind, &kind_metrics_[k].latency));
-      registrations_.push_back(reg.attach_histogram(
-          "serve.query.queue_wait." + kind, &kind_metrics_[k].queue_wait));
-      registrations_.push_back(reg.attach_histogram(
-          "serve.query.execute." + kind, &kind_metrics_[k].execute));
-    }
-    registrations_.push_back(
-        reg.attach_histogram("serve.query.view_select", &view_select_));
-    registrations_.push_back(reg.attach_histogram(
-        "serve.query.queue_wait.all", &queue_wait_all_));
-    // Robustness counters live in the registry (stable refs, cached here)
-    // so they surface in -metrics-json / Prometheus without a bridge.
-    timed_out_ctr_ = &reg.get_counter("serve.query.timed_out");
-    shed_ctr_ = &reg.get_counter("serve.query.shed");
-    cancelled_ctr_ = &reg.get_counter("serve.query.cancelled");
-    unavailable_ctr_ = &reg.get_counter("serve.query.unavailable");
-    degraded_ctr_ = &reg.get_counter("serve.query.degraded");
-    degrade_transitions_ctr_ = &reg.get_counter("serve.degrade.transitions");
-    degrade_level_gauge_ = &reg.get_gauge("serve.degrade.level");
-    // Brownout rungs: explicit options win; otherwise derived from the
-    // queue bound. No bound and no rungs means no ladder to stand on.
-    bn_degrade_ = options_.brownout_depth_degrade != 0
-                      ? options_.brownout_depth_degrade
-                      : options_.max_queue / 4;
-    bn_shed_low_ = options_.brownout_depth_shed_low != 0
-                       ? options_.brownout_depth_shed_low
-                       : options_.max_queue / 2;
-    bn_shed_all_ = options_.brownout_depth_shed_all != 0
-                       ? options_.brownout_depth_shed_all
-                       : options_.max_queue - options_.max_queue / 4;
-    brownout_enabled_ = options_.brownout && bn_degrade_ != 0 &&
-                        bn_shed_low_ != 0 && bn_shed_all_ != 0;
-    cache_ = options_.cache;
-    if (cache_ != nullptr) {
-      cache_hit_name_id_ = fr.intern("serve.cache.hit");
-      cache_miss_name_id_ = fr.intern("serve.cache.miss");
-      // Standing-query trigger: the ingest manager publishes each batch's
-      // touched-bucket summary through the shared cache once the batch is
-      // reader-visible; intersecting subscriptions get a re-eval enqueued
-      // on the normal reader pool. Removed in stop() before the engine's
-      // state can go away.
-      cache_listener_id_ = cache_->add_listener(
-          [this](const bucket_set& touched, std::uint64_t epoch) {
-            on_delta(touched, epoch);
-          });
-    }
-    readers_.reserve(num_readers);
-    for (std::size_t i = 0; i < num_readers; ++i) {
-      readers_.emplace_back([this] { reader_loop(); });
-    }
-  }
+               query_engine_options options = {})
+      : query_engine(store, overlay, num_readers, options, {}) {}
 
   query_engine(const query_engine&) = delete;
   query_engine& operator=(const query_engine&) = delete;
@@ -622,12 +511,6 @@ class query_engine {
     return reader_forks_.load(std::memory_order_relaxed);
   }
 
-  // Analytics auto-routed to a published version's memoized merged CSR by
-  // the adaptive stale policy (always 0 unless options.stale_auto).
-  std::uint64_t stale_auto_routed() const {
-    return stale_auto_routed_.load(std::memory_order_relaxed);
-  }
-
   // ---- robustness observability -------------------------------------------
 
   // Queries resolved timed_out (deadline expired in queue or mid-flight).
@@ -646,7 +529,7 @@ class query_engine {
   std::uint64_t unavailable() const {
     return unavailable_.load(std::memory_order_relaxed);
   }
-  // Analytics answered degraded (published merged CSR under brownout).
+  // Analytics answered degraded (stale path under brownout).
   std::uint64_t degraded_served() const {
     return degraded_.load(std::memory_order_relaxed);
   }
@@ -685,6 +568,94 @@ class query_engine {
   }
 
  private:
+  // Every public form lands here. At most one fresh source is meant to be
+  // set: `overlay` (single writer) or `router` (sharded).
+  query_engine(const snapshot_store<W>& store,
+               const overlay_view<W>* overlay, std::size_t num_readers,
+               query_engine_options options, shard_router<W> router)
+      : store_(store),
+        overlay_(overlay),
+        router_(std::move(router)),
+        options_(options) {
+    if (num_readers == 0) num_readers = 1;
+    // Materialize the scheduler from the constructing thread before any
+    // reader runs: if this were the process's first scheduler touch, a
+    // transient reader thread would otherwise be bound as native worker 0
+    // (see scheduler.h) and orphan that slot at engine shutdown.
+    parlib::scheduler::instance();
+    // Flight recorder + exemplar store before the first traced query, so
+    // the scheduler hook and registry callbacks are installed (both are
+    // idempotent leaked singletons). Intern the per-kind timeline names
+    // once; the reader loop stamps them on query spans.
+    auto& fr = obs::flight_recorder::global();
+    obs::exemplar_store::global();
+    for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
+      kind_name_ids_[k] = fr.intern(
+          "serve.query." +
+          std::string(query_kind_name(static_cast<query_kind>(k))));
+    }
+    timed_out_name_id_ = fr.intern("serve.query.timed_out");
+    cancelled_name_id_ = fr.intern("serve.query.cancelled");
+    brownout_name_id_ = fr.intern("serve.brownout.level");
+    // Export the per-kind stage histograms through the obs registry (live
+    // while the engine runs; folded into registry-owned totals on
+    // destruction so at-exit snapshots keep them).
+    auto& reg = obs::registry::global();
+    for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
+      const std::string kind = query_kind_name(static_cast<query_kind>(k));
+      registrations_.push_back(reg.attach_histogram(
+          "serve.query.latency." + kind, &kind_metrics_[k].latency));
+      registrations_.push_back(reg.attach_histogram(
+          "serve.query.queue_wait." + kind, &kind_metrics_[k].queue_wait));
+      registrations_.push_back(reg.attach_histogram(
+          "serve.query.execute." + kind, &kind_metrics_[k].execute));
+    }
+    registrations_.push_back(
+        reg.attach_histogram("serve.query.view_select", &view_select_));
+    registrations_.push_back(reg.attach_histogram(
+        "serve.query.queue_wait.all", &queue_wait_all_));
+    // Robustness counters live in the registry (stable refs, cached here)
+    // so they surface in -metrics-json / Prometheus without a bridge.
+    timed_out_ctr_ = &reg.get_counter("serve.query.timed_out");
+    shed_ctr_ = &reg.get_counter("serve.query.shed");
+    cancelled_ctr_ = &reg.get_counter("serve.query.cancelled");
+    unavailable_ctr_ = &reg.get_counter("serve.query.unavailable");
+    degraded_ctr_ = &reg.get_counter("serve.query.degraded");
+    degrade_transitions_ctr_ = &reg.get_counter("serve.degrade.transitions");
+    degrade_level_gauge_ = &reg.get_gauge("serve.degrade.level");
+    // Brownout rungs: explicit options win; otherwise derived from the
+    // queue bound. No bound and no rungs means no ladder to stand on.
+    bn_degrade_ = options_.brownout_depth_degrade != 0
+                      ? options_.brownout_depth_degrade
+                      : options_.max_queue / 4;
+    bn_shed_low_ = options_.brownout_depth_shed_low != 0
+                       ? options_.brownout_depth_shed_low
+                       : options_.max_queue / 2;
+    bn_shed_all_ = options_.brownout_depth_shed_all != 0
+                       ? options_.brownout_depth_shed_all
+                       : options_.max_queue - options_.max_queue / 4;
+    brownout_enabled_ = options_.brownout && bn_degrade_ != 0 &&
+                        bn_shed_low_ != 0 && bn_shed_all_ != 0;
+    cache_ = options_.cache;
+    if (cache_ != nullptr) {
+      cache_hit_name_id_ = fr.intern("serve.cache.hit");
+      cache_miss_name_id_ = fr.intern("serve.cache.miss");
+      // Standing-query trigger: the ingest manager publishes each batch's
+      // touched-bucket summary through the shared cache once the batch is
+      // reader-visible; intersecting subscriptions get a re-eval enqueued
+      // on the normal reader pool. Removed in stop() before the engine's
+      // state can go away.
+      cache_listener_id_ = cache_->add_listener(
+          [this](const bucket_set& touched, std::uint64_t epoch) {
+            on_delta(touched, epoch);
+          });
+    }
+    readers_.reserve(num_readers);
+    for (std::size_t i = 0; i < num_readers; ++i) {
+      readers_.emplace_back([this] { reader_loop(); });
+    }
+  }
+
   struct item {
     query q;
     std::chrono::steady_clock::time_point submitted;
@@ -710,11 +681,6 @@ class query_engine {
   double slo_for(query_kind k) const {
     return is_point_read(k) ? options_.slo_point_s
                             : options_.slo_analytics_s;
-  }
-
-  static std::uint64_t stale_state_key(std::uint64_t version,
-                                       std::uint64_t epoch) {
-    return version * 0x9E3779B97F4A7C15ull ^ (epoch + 1);
   }
 
   // The pinned version's position on the cache's invalidation clock: the
@@ -831,19 +797,69 @@ class query_engine {
     if (idle) idle_cv_.notify_all();
   }
 
-  // True once `count` consecutive analytics have executed against the
-  // same (version, epoch) — the signal that the graph is holding still
-  // under an analytics-heavy stretch. Racy by design: concurrent readers
-  // may miscount a little, which only delays or hastens the switch.
-  bool should_route_stale(std::uint64_t key) {
-    if (stale_key_.load(std::memory_order_relaxed) != key) {
-      stale_key_.store(key, std::memory_order_relaxed);
-      stale_run_.store(1, std::memory_order_relaxed);
-      return false;
+  // The view one query executes against. Exactly one of `fresh` and
+  // `pinned` is set when there is something to serve from. Non-stale
+  // results are canonical, and cacheable at `epoch`.
+  struct view_choice {
+    std::shared_ptr<const overlay_snapshot<W>> fresh;
+    pinned_snapshot<W> pinned;
+    bool stale = false;           // execute on the pinned merged CSR
+    bool degraded = false;        // brownout degrade: annotate the result
+    std::uint64_t staleness = 0;  // updates the pinned version lags
+    std::uint64_t epoch = 0;      // position on the cache's clock
+  };
+
+  // store.pin.fail: pin behaves as if nothing were published.
+  pinned_snapshot<W> pin() const {
+    if (GBBS_FAILPOINT_TRIGGERED("store.pin.fail")) {
+      return pinned_snapshot<W>{};
     }
-    const std::uint32_t run =
-        stale_run_.fetch_add(1, std::memory_order_relaxed) + 1;
-    return run > options_.stale_auto_threshold;
+    return store_.pin();
+  }
+
+  // The routing policy tabled in the file header. The fresh index is read
+  // first (it covers every ingest that returned before this call); the
+  // overlay index epoch and pinned_epoch() are each the cache clock of
+  // the manager that feeds them.
+  view_choice select_view(const query& q) const {
+    view_choice v;
+    if (!q.stale) {
+      if (overlay_ != nullptr) {
+        v.fresh = overlay_->read();
+      } else if (!router_.empty() && (q.kind == query_kind::degree ||
+                                      q.kind == query_kind::neighbors)) {
+        v.fresh = router_.owner(q.u).read();
+      }
+    }
+    if (v.fresh != nullptr && !is_point_read(q.kind) &&
+        degrade_level_.load(std::memory_order_relaxed) >= 1) {
+      // Brownout: the published merged CSR instead of the fused overlay
+      // traversal, lossy but bounded. Point reads never degrade; they
+      // are O(deg) either way.
+      if (pinned_snapshot<W> snap = pin()) {
+        const std::uint64_t published = snap.updates_ingested();
+        const std::uint64_t behind =
+            v.fresh->epoch >= published ? v.fresh->epoch - published : 0;
+        if (behind <= options_.degraded_staleness_bound) {
+          v.fresh = nullptr;
+          v.pinned = std::move(snap);
+          v.stale = true;
+          v.degraded = true;
+          v.staleness = behind;
+          return v;
+        }
+      }
+    }
+    if (v.fresh != nullptr) {
+      v.epoch = v.fresh->epoch;
+      return v;
+    }
+    v.pinned = pin();
+    if (v.pinned) {
+      v.stale = q.stale;
+      v.epoch = pinned_epoch(v.pinned);
+    }
+    return v;
   }
 
   void reader_loop() {
@@ -896,44 +912,27 @@ class query_engine {
       // The engine-wide queue-wait sample feeds the brownout controller.
       queue_wait_all_.record_s(
           std::chrono::duration<double>(dequeued - it.submitted).count());
-      // Set right before the query's algorithm runs, in whichever branch
-      // serves it: [dequeued, exec_start) is view selection (overlay read
-      // / version pin / stale-routing), [exec_start, done) is execution.
+      // [dequeued, exec_start) is view selection (cache lookup, overlay
+      // read, version pin), [exec_start, done) is execution.
       auto exec_start = dequeued;
       const std::uint64_t forks_before =
           guard.registered()
               ? parlib::scheduler::instance().push_count(guard.slot())
               : 0;
       query_result r;
-      bool served = false;
       bool from_cache = false;
-      bool insertable = false;     // canonical result, safe to cache
-      std::uint64_t entry_epoch = 0;  // its data epoch (cache clock domain)
-      // Read-set recorder for this execution: needed when a cacheable
-      // analytics result will be inserted (bfs precision; whole-graph
-      // kinds record the universe) and for every standing-query re-eval.
-      // Point reads derive their read-set from the key alone.
-      read_set_recorder rec;
       const bool cacheable =
           cache_ != nullptr && it.sub == nullptr && !it.q.stale;
-      read_set_recorder* rec_ptr =
-          ((cacheable || it.sub != nullptr) && !is_point_read(it.q.kind))
-              ? &rec
-              : nullptr;
       if (cacheable) {
         // Lookup is one atomic load + the read-set epoch check; a hit
         // skips view selection and execution entirely.
         static const obs::stage_ref s_lookup =
             obs::stage_named("serve.cache.lookup");
         obs::trace_span cspan(s_lookup);
-        if (cache_->lookup(it.q, &r)) {
-          fr.emit(obs::event_type::instant, cache_hit_name_id_);
-          served = true;
-          from_cache = true;
-          exec_start = std::chrono::steady_clock::now();
-        } else {
-          fr.emit(obs::event_type::instant, cache_miss_name_id_);
-        }
+        from_cache = cache_->lookup(it.q, &r);
+        fr.emit(obs::event_type::instant,
+                from_cache ? cache_hit_name_id_ : cache_miss_name_id_);
+        if (from_cache) exec_start = std::chrono::steady_clock::now();
       }
       // Cancellation token for the execution: caller-supplied when the
       // query carries one, else a loop-local token when a deadline is
@@ -944,124 +943,39 @@ class query_engine {
       parlib::cancel::token* tok = it.q.cancel;
       if (tok == nullptr && it.has_deadline) tok = &local_token;
       if (tok != nullptr && it.has_deadline) tok->set_deadline(it.deadline);
-      if (!served) {
+      bool served = from_cache;
+      bool insertable = false;
+      std::uint64_t entry_epoch = 0;
+      read_set_recorder rec;
+      read_set_recorder* rec_ptr = nullptr;
+      if (!from_cache) {
         parlib::cancel::token_scope cscope(tok);
         GBBS_FAILPOINT_SLEEP("serve.exec.delay");
-        // store.pin.fail: pin behaves as if nothing were published.
-        const auto pin = [this]() -> pinned_snapshot<W> {
-          if (GBBS_FAILPOINT_TRIGGERED("store.pin.fail")) {
-            return pinned_snapshot<W>{};
-          }
-          return store_.pin();
-        };
-        // Fresh-source selection: the single-writer overlay serves every
-        // kind; in sharded mode only per-vertex point reads are overlay-
-        // fresh (owner shard), the rest need the composite barrier and
-        // fall to the pinned path below.
-        const overlay_view<W>* fresh_src = nullptr;
-        if (!it.q.stale) {
-          if (overlay_ != nullptr) {
-            fresh_src = overlay_;
-          } else if (!router_.empty() &&
-                     (it.q.kind == query_kind::degree ||
-                      it.q.kind == query_kind::neighbors)) {
-            fresh_src = &router_.owner(it.q.u);
-          }
+        view_choice view = select_view(it.q);
+        // Read-set recorder: needed when an analytics result will be
+        // inserted into the cache (bfs precision; whole-graph kinds record
+        // the universe) and for every standing-query re-eval. Point reads
+        // derive their read-set from the key alone.
+        if (!is_point_read(it.q.kind) &&
+            ((cacheable && !view.stale) || it.sub != nullptr)) {
+          rec_ptr = &rec;
         }
-        if (fresh_src != nullptr) {
-          // Fresh path: the overlay index current right now (covers every
-          // ingest that returned before this read) serves every kind —
-          // analytics traverse it fused, no merged-CSR build.
-          if (auto idx = fresh_src->read()) {
-            // Brownout level >= 1: analytics route to the published
-            // memoized merged CSR even when it lags the overlay —
-            // lossy-but-bounded (degraded_staleness_bound), annotated on
-            // the result — trading freshness for the merge-amortized CSR
-            // traversal while the queue is hot. Point reads stay fresh
-            // (they are O(deg); degrading them would save nothing).
-            if (!is_point_read(it.q.kind) &&
-                degrade_level_.load(std::memory_order_relaxed) >= 1) {
-              if (pinned_snapshot<W> snap = pin()) {
-                const std::uint64_t behind =
-                    idx->epoch >= snap.updates_ingested()
-                        ? idx->epoch - snap.updates_ingested()
-                        : 0;
-                if (behind <= options_.degraded_staleness_bound) {
-                  query sq = it.q;
-                  sq.stale = true;
-                  exec_start = std::chrono::steady_clock::now();
-                  r = execute_query(snap, sq);
-                  r.degraded = true;
-                  r.staleness = behind;
-                  degraded_.fetch_add(1, std::memory_order_relaxed);
-                  degraded_ctr_->add();
-                  served = true;
-                }
-              }
-            }
-            const std::uint64_t skey =
-                options_.stale_auto
-                    ? stale_state_key(idx->base_version, idx->epoch)
-                    : 0;
-            const bool known_unroutable =
-                options_.stale_auto &&
-                stale_unroutable_.load(std::memory_order_relaxed) == skey &&
-                stale_unroutable_version_.load(std::memory_order_relaxed) ==
-                    store_.current_version();
-            if (!served && options_.stale_auto && !is_point_read(it.q.kind) &&
-                should_route_stale(skey) && !known_unroutable) {
-              // Route to the published version's memoized merged CSR, but
-              // only when it covers exactly the overlay's updates — routed
-              // results then equal fresh results, just off a contiguous CSR.
-              // A state whose published version lags is remembered as
-              // unroutable, so later queries skip the futile pin until the
-              // writer publishes again.
-              if (pinned_snapshot<W> snap = pin();
-                  snap && snap.updates_ingested() == idx->epoch) {
-                query sq = it.q;
-                sq.stale = true;
-                exec_start = std::chrono::steady_clock::now();
-                r = execute_query(snap, sq, rec_ptr);
-                stale_auto_routed_.fetch_add(1, std::memory_order_relaxed);
-                // Lossless by the check above: identical to fresh, so
-                // cacheable at the overlay's epoch.
-                insertable = true;
-                entry_epoch = idx->epoch;
-                served = true;
-              } else {
-                stale_unroutable_version_.store(store_.current_version(),
-                                                std::memory_order_relaxed);
-                stale_unroutable_.store(skey, std::memory_order_relaxed);
-              }
-            }
-            if (!served) {
-              exec_start = std::chrono::steady_clock::now();
-              // The index epoch is the cache's clock: the single-writer
-              // manager stamps its ingested-update count, a shard stamps
-              // its applied batch version — each matching what the owning
-              // manager's invalidate() publishes.
-              insertable = true;
-              entry_epoch = idx->epoch;
-              r = execute_fresh_query(std::move(idx), it.q, rec_ptr);
-              served = true;
-            }
-          } else if (pinned_snapshot<W> snap = pin()) {
-            exec_start = std::chrono::steady_clock::now();
-            insertable = true;
-            entry_epoch = pinned_epoch(snap);
-            r = execute_query(snap, it.q, rec_ptr);
-            served = true;
+        exec_start = std::chrono::steady_clock::now();
+        if (view.fresh != nullptr || view.pinned) {
+          query eq = it.q;
+          eq.stale = view.stale;
+          r = view.fresh != nullptr
+                  ? execute_fresh_query(std::move(view.fresh), eq, rec_ptr)
+                  : execute_query(view.pinned, eq, rec_ptr);
+          if (view.degraded) {
+            r.degraded = true;
+            r.staleness = view.staleness;
+            degraded_.fetch_add(1, std::memory_order_relaxed);
+            degraded_ctr_->add();
           }
-        } else {
-          // Versioned path: pin the version current at execution; the query
-          // sees it regardless of how far ingest advances while it runs.
-          if (pinned_snapshot<W> snap = pin()) {
-            exec_start = std::chrono::steady_clock::now();
-            insertable = true;
-            entry_epoch = pinned_epoch(snap);
-            r = execute_query(snap, it.q, rec_ptr);
-            served = true;
-          }
+          served = true;
+          insertable = !view.stale;
+          entry_epoch = view.epoch;
         }
       }
       if (tok != nullptr && tok->cancelled()) {
@@ -1088,10 +1002,9 @@ class query_engine {
         unavailable_.fetch_add(1, std::memory_order_relaxed);
         unavailable_ctr_->add();
       }
-      if (cacheable && !from_cache && insertable &&
-          r.status == query_status::ok && !r.degraded) {
+      if (cacheable && insertable && r.status == query_status::ok) {
         // Publish the canonical result back: read-set from the recorder
-        // (or the key, for point reads), epoch from the serving branch.
+        // (or the key, for point reads), epoch from select_view.
         cache_->insert(it.q, r, read_set_for(it.q, rec_ptr), entry_epoch);
       }
       if (guard.registered()) {
@@ -1200,7 +1113,6 @@ class query_engine {
   bool stopping_ = false;
 
   std::atomic<std::uint64_t> reader_forks_{0};
-  std::atomic<std::uint64_t> stale_auto_routed_{0};
 
   // Robustness accounting (engine-local; mirrored into registry counters).
   std::atomic<std::uint64_t> timed_out_{0};
@@ -1231,11 +1143,6 @@ class query_engine {
   std::uint64_t cache_listener_id_ = 0;
   mutable std::mutex subs_mutex_;
   std::vector<std::shared_ptr<subscription>> subs_;
-  // Adaptive stale-routing run detection (racy-by-design, see above).
-  std::atomic<std::uint64_t> stale_key_{0};
-  std::atomic<std::uint32_t> stale_run_{0};
-  std::atomic<std::uint64_t> stale_unroutable_{0};
-  std::atomic<std::uint64_t> stale_unroutable_version_{0};
 };
 
 }  // namespace gbbs::serve

@@ -156,6 +156,7 @@ class result_cache {
       if (slots_[s].compare_exchange_strong(expected, nullptr,
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
+        invalidations_.fetch_add(1, std::memory_order_relaxed);
         invalidations_ctr_->add();
         entries_gauge_->add(-1);
       }
@@ -236,9 +237,13 @@ class result_cache {
 
   // ---- introspection -------------------------------------------------
 
-  std::uint64_t hits() const { return hits_ctr_->value(); }
-  std::uint64_t misses() const { return misses_ctr_->value(); }
-  std::uint64_t invalidations() const { return invalidations_ctr_->value(); }
+  // This instance's traffic. The registry counters ("serve.cache.*") are
+  // process-wide totals over every cache.
+  std::uint64_t hits() const { return sum(kind_hits_); }
+  std::uint64_t misses() const { return sum(kind_misses_); }
+  std::uint64_t invalidations() const {
+    return invalidations_.load(std::memory_order_relaxed);
+  }
   std::size_t capacity() const { return slots_.size(); }
 
   std::size_t entries() const {
@@ -270,6 +275,14 @@ class result_cache {
     query_result result;
   };
   using slot_type = std::atomic<std::shared_ptr<const cache_entry>>;
+
+  using kind_counts = std::array<std::atomic<std::uint64_t>, kNumQueryKinds>;
+
+  static std::uint64_t sum(const kind_counts& counts) {
+    std::uint64_t total = 0;
+    for (const auto& c : counts) total += c.load(std::memory_order_relaxed);
+    return total;
+  }
 
   bool fresh(const cache_entry& e) const {
     if (e.reads.all()) {
@@ -312,8 +325,9 @@ class result_cache {
   obs::counter* misses_ctr_;
   obs::counter* invalidations_ctr_;
   obs::gauge* entries_gauge_;
-  std::array<std::atomic<std::uint64_t>, kNumQueryKinds> kind_hits_{};
-  std::array<std::atomic<std::uint64_t>, kNumQueryKinds> kind_misses_{};
+  kind_counts kind_hits_{};
+  kind_counts kind_misses_{};
+  std::atomic<std::uint64_t> invalidations_{0};
 };
 
 }  // namespace gbbs::serve

@@ -247,6 +247,47 @@ TEST(ResultCache, InvalidationPrecision) {
   }
 }
 
+// Counts belong to one cache: traffic on one instance leaves another
+// instance in the same process at zero, and hits()/misses() are the sums
+// of the per-kind counts.
+TEST(ResultCache, CountsArePerInstance) {
+  const vertex_id n = 64;
+  snapshot_manager<empty_weight> mgr(n);
+  result_cache busy;
+  result_cache idle;
+  mgr.attach_cache(&busy);
+  query_engine_options opts;
+  opts.cache = &busy;
+  query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(), 1, opts);
+
+  mgr.ingest(make_updates({{1, 2}, {2, 3}}));
+  const query qd{query_kind::degree, 1, 0};
+  const query qb{query_kind::bfs_distance, 1, 3};
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(engine.submit(qd).get().value, 1u);
+    EXPECT_EQ(engine.submit(qb).get().value, 2u);
+  }
+  // Touches bucket(1): the cached degree is evicted on the next lookup.
+  mgr.ingest(make_updates({{1, 3}}));
+  EXPECT_EQ(engine.submit(qd).get().value, 2u);
+
+  EXPECT_EQ(busy.hits(), 2u);
+  EXPECT_EQ(busy.misses(), 3u);
+  EXPECT_EQ(busy.invalidations(), 1u);
+  std::uint64_t kind_hits = 0;
+  std::uint64_t kind_misses = 0;
+  for (std::size_t k = 0; k < gbbs::serve::kNumQueryKinds; ++k) {
+    kind_hits += busy.kind_hits(static_cast<query_kind>(k));
+    kind_misses += busy.kind_misses(static_cast<query_kind>(k));
+  }
+  EXPECT_EQ(busy.hits(), kind_hits);
+  EXPECT_EQ(busy.misses(), kind_misses);
+
+  EXPECT_EQ(idle.hits(), 0u);
+  EXPECT_EQ(idle.misses(), 0u);
+  EXPECT_EQ(idle.invalidations(), 0u);
+}
+
 // Whole-graph analytics depend on edges anywhere (all-buckets read-set):
 // *any* batch invalidates them — never a stale hit.
 TEST(ResultCache, WholeGraphEntriesInvalidatedByAnyBatch) {
@@ -433,8 +474,7 @@ TEST(ResultCache, ShardedInvalidationAndFreshness) {
   mgr.attach_cache(&cache);
   query_engine_options opts;
   opts.cache = &cache;
-  query_engine<empty_weight> engine(mgr.store(), nullptr, 1, opts,
-                                    mgr.router());
+  query_engine<empty_weight> engine(mgr.store(), mgr.router(), 1, opts);
 
   const vertex_id a = 9;
   mgr.ingest(make_updates({{a, 17}}));

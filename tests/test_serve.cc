@@ -7,6 +7,9 @@
 //   * overlay-served fresh point reads: a read issued after ingest() but
 //     before publish() observes the new edges via the delta-aware path;
 //   * the bounded submit queue (reject and block overflow policies);
+//   * view selection: the routing rows (snapshot-only engine, brownout
+//     degrade past its staleness bound, stale analytics on a sharded
+//     engine) that the overlay and robustness tests leave out;
 //   * the acceptance check: with ingest and >= 4 reader threads running
 //     simultaneously, every query result equals the result of the same
 //     static algorithm on the snapshot version it was admitted against.
@@ -14,6 +17,7 @@
 // Shared-CSR storage lifetime (arrays outliving writer/store, zero-copy
 // publish) is covered in test_shared_csr.cc.
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <thread>
@@ -32,6 +36,7 @@
 #include "parlib/random.h"
 #include "serve/query.h"
 #include "serve/query_engine.h"
+#include "serve/sharded_ingest.h"
 #include "serve/snapshot_manager.h"
 #include "serve/snapshot_store.h"
 
@@ -261,7 +266,7 @@ TEST(OverlayView, PointReadsSeeUnpublishedIngest) {
   EXPECT_TRUE(idx->cc.connected(0, 2));
   EXPECT_FALSE(idx->cc.connected(0, 3));
 
-  auto fresh = execute_point_query(*idx, {query_kind::degree, 1, 0});
+  auto fresh = execute_fresh_query(idx, {query_kind::degree, 1, 0});
   EXPECT_EQ(fresh.value, 2u);
   EXPECT_GT(fresh.epoch, 0u);
 
@@ -569,38 +574,117 @@ TEST(Serve, ConsistencyUnderConcurrentIngest) {
   EXPECT_EQ(mgr.store().live_versions(), 1u);
 }
 
-// Adaptive stale-routing: repeat analytics on an unchanged (version,
-// epoch) switch to the published version's memoized merged CSR once the
-// run exceeds the threshold — with identical results, since routing only
-// happens when the published version covers the same updates.
-TEST(QueryEngine, StaleAutoRoutesRepeatAnalyticsLosslessly) {
+// View selection, one row per routing case the tests above leave out.
+// Each answer must equal a direct execution on the view the policy names:
+// the pinned version (epoch 0) or the fresh overlay index. The unpublished
+// shortcut edge 0-(n-1) makes the two differ on degree(0) and on every
+// analytics kind, so a misrouted row fails on its value.
+TEST(QueryEngine, SelectViewRoutingTable) {
+  using engine_t = query_engine<empty_weight>;
+  struct row {
+    const char* label;
+    engine_t* engine;
+    query q;
+    // Where the answer must come from: the fresh index when set, else the
+    // version `pin` returns (executed non-stale: a stale answer must
+    // equal the non-stale one at the same version).
+    const gbbs::serve::overlay_view<empty_weight>* fresh;
+    std::function<pinned_snapshot<empty_weight>()> pin;
+    bool degraded;
+  };
+  auto check = [](const row& r) {
+    const query_result got = r.engine->submit(r.q).get();
+    query plain = r.q;
+    plain.stale = false;
+    const query_result want =
+        r.fresh != nullptr ? execute_fresh_query(r.fresh->read(), plain)
+                           : execute_query(r.pin(), plain);
+    EXPECT_EQ(got.status, query_status::ok) << r.label;
+    EXPECT_EQ(got.value, want.value) << r.label;
+    EXPECT_EQ(got.list, want.list) << r.label;
+    EXPECT_EQ(got.version, want.version) << r.label;
+    EXPECT_EQ(got.epoch, want.epoch) << r.label;
+    EXPECT_EQ(r.fresh == nullptr, got.epoch == 0) << r.label;
+    EXPECT_EQ(got.degraded, r.degraded) << r.label;
+    EXPECT_EQ(got.staleness, 0u) << r.label;
+  };
+  const query_kind analytics[] = {
+      query_kind::bfs_distance, query_kind::kcore_max,
+      query_kind::triangles, query_kind::connectivity_refine};
+
   const vertex_id n = 10;
-  snapshot_manager<empty_weight> mgr(n);
   std::vector<uw_edge> path;
   for (vertex_id u = 0; u + 1 < n; ++u) path.push_back({u, u + 1, {}});
+  snapshot_manager<empty_weight> mgr(n);
   mgr.ingest(inserts(path));
   mgr.publish();
+  mgr.ingest(inserts({{0, n - 1, {}}}));  // unpublished: lag 1
+  const auto pin = [&] { return mgr.pin(); };
 
-  gbbs::serve::query_engine_options opts;
-  opts.stale_auto = true;
-  opts.stale_auto_threshold = 3;
-  query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(),
-                                    /*num_readers=*/2, opts);
-  for (int i = 0; i < 20; ++i) {
-    auto r =
-        engine.submit({query_kind::bfs_distance, 0, n - 1, false}).get();
-    EXPECT_EQ(r.value, static_cast<std::uint64_t>(n - 1)) << i;
+  // Snapshot-only engine: every kind pins the published version.
+  engine_t snapshot_only(mgr.store(), /*num_readers=*/1);
+  std::vector<row> rows;
+  for (std::size_t k = 0; k < gbbs::serve::kNumQueryKinds; ++k) {
+    rows.push_back({"snapshot-only", &snapshot_only,
+                    {static_cast<query_kind>(k), 0, n - 1}, nullptr, pin,
+                    false});
   }
-  // The run of identical analytics on one unchanged version amortized the
-  // merge: later queries were routed to the memoized merged CSR.
-  EXPECT_GT(engine.stale_auto_routed(), 0u);
+
+  // Brownout level 1 with a staleness bound of 0. Rungs out of reach
+  // leave the queue-wait input alone on the ladder: any recorded wait
+  // exceeds the 1 ps target, and the controller samples it on the 65th
+  // submit, so the level is 1 from then until the 129th.
+  gbbs::serve::query_engine_options bopts;
+  bopts.brownout = true;
+  bopts.brownout_depth_degrade = std::size_t{1} << 20;
+  bopts.brownout_depth_shed_low = std::size_t{1} << 20;
+  bopts.brownout_depth_shed_all = std::size_t{1} << 20;
+  bopts.brownout_queue_wait_p99_s = 1e-12;
+  bopts.degraded_staleness_bound = 0;
+  engine_t brownout(mgr.store(), &mgr.overlay(), /*num_readers=*/1, bopts);
+  for (int i = 0; i < 64; ++i) {
+    brownout.submit({query_kind::degree, 0, 0}).get();
+  }
+  ASSERT_EQ(brownout.degrade_level(), 0);
+  // Past the bound: analytics stay fresh and are not degraded.
+  for (query_kind k : analytics) {
+    rows.push_back({"brownout, lag > bound", &brownout, {k, 0, n - 1},
+                    &mgr.overlay(), nullptr, false});
+  }
+  for (const row& r : rows) check(r);
+  EXPECT_EQ(brownout.degrade_level(), 1);
+  EXPECT_EQ(brownout.degraded_served(), 0u);
+
+  // Control: once published, the lag is 0 and the same engine degrades.
+  mgr.publish();
+  check({"brownout, lag <= bound", &brownout,
+         {query_kind::bfs_distance, 0, n - 1}, nullptr, pin, true});
+  EXPECT_EQ(brownout.degrade_level(), 1);
+  EXPECT_EQ(brownout.degraded_served(), 1u);
+
+  // Sharded engine: q.stale analytics read the stitched CSR of the pinned
+  // composite version and agree with the non-stale composite path.
+  gbbs::serve::sharded_snapshot_manager<empty_weight> sharded(
+      n, {.num_shards = 2});
+  sharded.ingest(inserts(path));
+  sharded.flush();
+  engine_t router(sharded.store(), sharded.router(), /*num_readers=*/1);
+  const auto sharded_pin = [&] { return sharded.pin(); };
+  rows.clear();
+  for (query_kind k : analytics) {
+    query q{k, 0, n - 1};
+    rows.push_back({"sharded", &router, q, nullptr, sharded_pin, false});
+    q.stale = true;
+    rows.push_back({"sharded, stale", &router, q, nullptr, sharded_pin,
+                    false});
+  }
+  for (const row& r : rows) check(r);
 }
 
-// Freshness is never silently lost: once ingest advances past the last
-// published version, the auto-router's lossless condition fails and
-// analytics keep seeing the *fresh* overlay (the unpublished shortcut
-// edge), threshold long exceeded or not.
-TEST(QueryEngine, StaleAutoNeverServesStaleResults) {
+// Fresh analytics see unpublished edges: the published merged CSR still
+// says n-1 after the shortcut edge is ingested, so any routing to it
+// would be visibly stale.
+TEST(QueryEngine, FreshAnalyticsSeeUnpublishedEdges) {
   const vertex_id n = 10;
   snapshot_manager<empty_weight> mgr(n);
   std::vector<uw_edge> path;
@@ -608,11 +692,8 @@ TEST(QueryEngine, StaleAutoNeverServesStaleResults) {
   mgr.ingest(inserts(path));
   mgr.publish();
 
-  gbbs::serve::query_engine_options opts;
-  opts.stale_auto = true;
-  opts.stale_auto_threshold = 2;
   query_engine<empty_weight> engine(mgr.store(), &mgr.overlay(),
-                                    /*num_readers=*/2, opts);
+                                    /*num_readers=*/2);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(
         engine.submit({query_kind::bfs_distance, 0, n - 1, false})
@@ -620,10 +701,8 @@ TEST(QueryEngine, StaleAutoNeverServesStaleResults) {
             .value,
         static_cast<std::uint64_t>(n - 1));
   }
-  EXPECT_GT(engine.stale_auto_routed(), 0u);
 
-  // Unpublished shortcut: fresh distance drops to 1; the published merged
-  // CSR still says n-1, so routing there would be visibly stale.
+  // Unpublished shortcut: fresh distance drops to 1.
   mgr.ingest(inserts({{0, n - 1, {}}}));
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(
@@ -631,7 +710,7 @@ TEST(QueryEngine, StaleAutoNeverServesStaleResults) {
             .get()
             .value,
         1u)
-        << "auto-routing served a stale result";
+        << "analytics served a stale result";
   }
 }
 
