@@ -4,13 +4,15 @@
 //
 // The instance is a bipartite graph: sets are vertices [0, num_sets),
 // elements are [num_sets, n). Sets are bucketed by floor(log_{1+eps} deg)
-// and processed from the highest bucket. Each round packs covered elements
-// out of the popped sets' adjacency lists (in-place pack_out — this is why
-// the routine takes the graph by value), splits the sets into those still
-// at the bucket's threshold (SC) and those to rebucket (SR), and runs one
-// MaNIS step on SC: every set writes a random priority to its remaining
-// elements with priority-write(min); sets that win at least
-// ceil((1+eps)^(b-1)) elements join the cover.
+// and processed from the highest bucket. The routine reads the caller's
+// graph once, to pack the set rows (only those: element rows are never
+// read) into its own element array, filled in parallel into an
+// uninitialized buffer; the caller's graph is not modified. Each round
+// packs covered elements out of the popped sets' rows in place, splits the
+// sets into those still at the bucket's threshold (SC) and those to
+// rebucket (SR), and runs one MaNIS step on SC: every set writes a random
+// priority to its remaining elements with priority-write(min); sets that
+// win at least ceil((1+eps)^(b-1)) elements join the cover.
 //
 // Per Section 4/6, the priorities of the active sets are REGENERATED every
 // round (a fresh random permutation). The `regenerate_priorities = false`
@@ -18,8 +20,10 @@
 // the paper reports on meshes/tori (up to 56x slower on 3D-Torus).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -43,15 +47,9 @@ struct set_cover_result {
   std::size_t num_rounds = 0;
 };
 
-// NOTE: takes the graph by value — adjacency lists are packed in place.
 template <typename Graph>
-set_cover_result set_cover(Graph g, vertex_id num_sets,
+set_cover_result set_cover(const Graph& g, vertex_id num_sets,
                            set_cover_options opts = {}) {
-  // The by-value copy shares the caller's CSR block; detach it up front so
-  // the parallel pack_out below mutates a uniquely-owned clone (a COW race
-  // inside the loop would be unsafe, and packing through a shared block
-  // would corrupt the caller's graph).
-  g.unshare();
   const vertex_id n = g.num_vertices();
   const double one_eps = 1.0 + opts.epsilon;
   auto bucket_of_deg = [&](vertex_id d) -> bucket_id {
@@ -64,6 +62,34 @@ set_cover_result set_cover(Graph g, vertex_id num_sets,
     return static_cast<vertex_id>(std::ceil(t));
   };
 
+  // Set s's uncovered elements are elems[first[s], first[s] + deg[s]);
+  // packing shrinks deg[s].
+  auto deg = parlib::tabulate<vertex_id>(num_sets, [&](std::size_t s) {
+    return g.out_degree(static_cast<vertex_id>(s));
+  });
+  std::vector<edge_id> first(num_sets);
+  const edge_id total =
+      parlib::scan_into(deg, first, parlib::plus_monoid<edge_id>());
+  auto elems = std::make_unique_for_overwrite<vertex_id[]>(total);
+  parlib::parallel_for(0, num_sets, [&](std::size_t s) {
+    vertex_id* row = elems.get() + first[s];
+    g.map_out_neighbors_early_exit(
+        static_cast<vertex_id>(s), [&](vertex_id, vertex_id e, auto) {
+          *row++ = e;
+          return true;
+        });
+  });
+  // f(e) over set s's elements; in parallel for long rows.
+  auto map_elems = [&](vertex_id s, const auto& f) {
+    const vertex_id* row = elems.get() + first[s];
+    const vertex_id d = deg[s];
+    if (d > 1024) {
+      parlib::parallel_for(0, d, [&](std::size_t j) { f(row[j]); });
+    } else {
+      for (vertex_id j = 0; j < d; ++j) f(row[j]);
+    }
+  };
+
   // covered[e] for elements; elt_winner[e] = priority-packed winning set.
   constexpr std::uint64_t kNoWinner = ~std::uint64_t{0};
   std::vector<std::uint8_t> covered(n, 0);
@@ -72,7 +98,7 @@ set_cover_result set_cover(Graph g, vertex_id num_sets,
 
   std::vector<bucket_id> set_bucket(num_sets);
   parlib::parallel_for(0, num_sets, [&](std::size_t s) {
-    set_bucket[s] = bucket_of_deg(g.out_degree(static_cast<vertex_id>(s)));
+    set_bucket[s] = bucket_of_deg(deg[s]);
   });
   auto bucket_of = [&](vertex_id s) -> bucket_id { return set_bucket[s]; };
   auto buckets = make_buckets(num_sets, bucket_of, bucket_order::decreasing);
@@ -87,14 +113,18 @@ set_cover_result set_cover(Graph g, vertex_id num_sets,
 
     // Pack out covered elements; recompute degrees.
     parlib::parallel_for(0, sets.size(), [&](std::size_t i) {
-      g.pack_out(sets[i], [&](vertex_id, vertex_id e, auto) {
-        return !covered[e];
-      });
+      const vertex_id s = sets[i];
+      vertex_id* row = elems.get() + first[s];
+      vertex_id kept = 0;
+      for (vertex_id j = 0; j < deg[s]; ++j) {
+        if (!covered[row[j]]) row[kept++] = row[j];
+      }
+      deg[s] = kept;
     });
     const vertex_id thresh = threshold_of_bucket(static_cast<bucket_id>(bkt));
     auto still_high = parlib::tabulate<std::uint8_t>(
         sets.size(), [&](std::size_t i) {
-          return static_cast<std::uint8_t>(g.out_degree(sets[i]) >= thresh);
+          return static_cast<std::uint8_t>(deg[sets[i]] >= thresh);
         });
     auto sc = parlib::pack(sets, still_high);
     auto sr = parlib::pack(sets, parlib::map(still_high, [](std::uint8_t b) {
@@ -115,31 +145,31 @@ set_cover_result set_cover(Graph g, vertex_id num_sets,
       });
     }
     parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
-      g.map_out_neighbors(sc[i], [&](vertex_id, vertex_id e, auto) {
+      map_elems(sc[i], [&](vertex_id e) {
         parlib::write_min(&elt_winner[e], pri[i]);
       });
     });
     // Sets that acquired >= thresh elements join the cover.
     std::vector<std::uint8_t> won(sc.size(), 0);
     parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
-      const std::size_t acquired = g.count_out(
-          sc[i], [&](vertex_id, vertex_id e, auto) {
-            return elt_winner[e] == pri[i];
-          });
+      const vertex_id* row = elems.get() + first[sc[i]];
+      const std::size_t acquired = static_cast<std::size_t>(
+          std::count_if(row, row + deg[sc[i]],
+                        [&](vertex_id e) { return elt_winner[e] == pri[i]; }));
       if (acquired >= thresh) won[i] = 1;
     });
     parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
       if (!won[i]) return;
       in_cover[sc[i]] = 1;
       set_bucket[sc[i]] = kNullBucket;  // done
-      g.map_out_neighbors(sc[i], [&](vertex_id, vertex_id e, auto) {
+      map_elems(sc[i], [&](vertex_id e) {
         if (elt_winner[e] == pri[i]) covered[e] = 1;
       });
     });
     // Reset priority slots of elements that stayed uncovered.
     parlib::parallel_for(0, sc.size(), [&](std::size_t i) {
-      g.map_out_neighbors(sc[i], [&](vertex_id, vertex_id e, auto) {
-        if (!covered[e]) elt_winner[e] = kNoWinner;
+      map_elems(sc[i], [&](vertex_id e) {
+        if (!covered[e]) parlib::atomic_store(&elt_winner[e], kNoWinner);
       });
     });
     // Rebucket losers and shrunken sets.
@@ -156,7 +186,7 @@ set_cover_result set_cover(Graph g, vertex_id num_sets,
         const vertex_id s = vs[i];
         // Losers keep their degree but must re-run (possibly same bucket):
         // clamp to one below the current bucket to guarantee progress.
-        bucket_id nb = bucket_of_deg(g.out_degree(s));
+        bucket_id nb = bucket_of_deg(deg[s]);
         if (nb != kNullBucket && nb >= static_cast<bucket_id>(bkt) &&
             bkt > 0) {
           nb = static_cast<bucket_id>(bkt);

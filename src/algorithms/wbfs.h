@@ -74,13 +74,12 @@ wbfs_result wbfs(const Graph& g, vertex_id src, bool use_blocked = true) {
     // Reset round flags and compute destination buckets from the *final*
     // distance of this round (several relaxations may have landed).
     const auto& entries = moved.entries();
-    std::vector<std::pair<vertex_id, bucket_id>> updates(entries.size());
-    parlib::parallel_for(0, entries.size(), [&](std::size_t i) {
+    parlib::parallel_for(0, entries.size(),
+                         [&](std::size_t i) { flags[entries[i].first] = 0; });
+    b.update_buckets(entries.size(), [&](std::size_t i) {
       const vertex_id v = entries[i].first;
-      flags[v] = 0;
-      updates[i] = {v, static_cast<bucket_id>(dist[v])};
+      return std::make_pair(v, static_cast<bucket_id>(dist[v]));
     });
-    b.update_buckets(updates);
   }
   return {std::move(dist), rounds};
 }

@@ -15,16 +15,28 @@
 // null_bucket for finished ones, and (b) not insert an identifier twice
 // into the same bucket between pops (both algorithms guarantee this by
 // only reporting *changed* buckets — see get_bucket).
+//
+// The overflow can still hold several copies of one identifier (one per
+// move that landed beyond the window). Redistribution keeps the first:
+// every copy priority-writes (min) its position into a persistent
+// per-identifier mark, the copy whose position won survives, and the
+// survivors' marks are reset. That is O(overflow) work, and the result —
+// first occurrences in overflow order — does not depend on the worker
+// count. update_buckets appends in input order, so a client that
+// reports its moves in a deterministic order gets a deterministic pop
+// sequence, identifier order included.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "parlib/atomics.h"
 #include "parlib/cancellation.h"
-#include "parlib/integer_sort.h"
 #include "parlib/parallel.h"
 #include "parlib/sequence_ops.h"
 
@@ -40,25 +52,17 @@ class buckets {
  public:
   buckets(vertex_id n, D d, bucket_order order,
           std::size_t open_buckets = 128)
-      : d_(std::move(d)), order_(order), open_(open_buckets),
+      : d_(std::move(d)), order_(order), open_(open_buckets), n_(n),
         bkts_(open_buckets + 1) {
     // Seed the window at the extreme live bucket in traversal order.
-    auto ids = parlib::iota<vertex_id>(n);
-    auto live = parlib::filter(
-        ids, [&](vertex_id v) { return d_(v) != kNullBucket; });
-    if (live.empty()) {
-      base_ = 0;
-      cur_ = 0;
-      return;
-    }
-    auto bks = parlib::map(live, [&](vertex_id v) {
-      return static_cast<std::int64_t>(d_(v));
-    });
-    base_ = order_ == bucket_order::increasing
-                ? parlib::reduce(bks, parlib::min_monoid<std::int64_t>())
-                : parlib::reduce(bks, parlib::max_monoid<std::int64_t>());
-    cur_ = base_;
-    bulk_insert(live);
+    auto live = parlib::compact<vertex_id>(
+        n,
+        [&](std::size_t v) {
+          return d_(static_cast<vertex_id>(v)) != kNullBucket;
+        },
+        [](std::size_t v) { return static_cast<vertex_id>(v); });
+    if (live.empty()) return;
+    reseed(live);
   }
 
   // Number of bucket pops performed so far (the paper's rho for k-core).
@@ -93,64 +97,76 @@ class buckets {
       auto live = parlib::filter(overflow, [&](vertex_id v) {
         return d_(v) != kNullBucket;
       });
-      // The overflow can hold several copies of one identifier (one per
-      // update that landed beyond the window); all copies of a live
-      // identifier now agree on d_(v), so deduplicate before reinserting —
-      // otherwise a bucket could pop the same identifier twice and clients
+      // All copies of a live identifier agree on d_(v); keep only the
+      // first, or a bucket could pop the same identifier twice and clients
       // like k-core would double-count its edges.
-      if (live.size() > 1) {
-        parlib::integer_sort_inplace(
-            live, [](vertex_id v) { return v; });
-        auto keep = parlib::tabulate<std::uint8_t>(
-            live.size(), [&](std::size_t i) {
-              return static_cast<std::uint8_t>(i == 0 ||
-                                               live[i - 1] != live[i]);
-            });
-        live = parlib::pack(live, keep);
-      }
+      if (live.size() > 1) live = first_copies(live);
       if (live.empty()) return {kNullBucket, {}};
-      auto bks = parlib::map(live, [&](vertex_id v) {
-        return static_cast<std::int64_t>(d_(v));
-      });
-      base_ = order_ == bucket_order::increasing
-                  ? parlib::reduce(bks, parlib::min_monoid<std::int64_t>())
-                  : parlib::reduce(bks, parlib::max_monoid<std::int64_t>());
-      cur_ = base_;
-      bulk_insert(live);
+      reseed(live);
     }
   }
 
-  // Move identifiers to new (absolute) buckets. Pairs with kNullBucket are
-  // ignored. The client's d must already reflect the new buckets.
-  void update_buckets(
-      const std::vector<std::pair<vertex_id, bucket_id>>& updates) {
-    auto live = parlib::filter(updates, [&](const auto& p) {
-      return p.second != kNullBucket;
-    });
-    if (live.empty()) return;
-    // Group by destination slot with a counting sort, then bulk-append.
-    auto slotted = parlib::tabulate<std::pair<vertex_id, std::uint32_t>>(
-        live.size(), [&](std::size_t i) {
-          return std::make_pair(
-              live[i].first,
-              static_cast<std::uint32_t>(
-                  slot_of(static_cast<std::int64_t>(live[i].second))));
-        });
-    auto starts = parlib::counting_sort_inplace(
-        slotted, [](const auto& p) { return p.second; }, open_ + 1);
+  // Move identifiers to new (absolute) buckets: get(i) for i < count
+  // returns the i-th (identifier, bucket) pair and must be pure (it runs
+  // twice per pair above one block). Pairs with kNullBucket are ignored.
+  // The client's d must already reflect the new buckets. Each slot
+  // receives its identifiers in input order.
+  template <typename F>
+  void update_buckets(std::size_t count, const F& get) {
+    if (count <= parlib::kSeqBlockSize) {
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto [v, b] = get(i);
+        if (b != kNullBucket) bkts_[slot_of(b)].push_back(v);
+      }
+      return;
+    }
+    // A counting pass per block of pairs, a per-slot scan over the blocks
+    // (which also grows each slot once), and a scatter straight into the
+    // slots.
+    const std::size_t slots = open_ + 1;
+    const std::size_t nb = parlib::num_blocks(count, parlib::kSeqBlockSize);
+    auto offsets = std::make_unique_for_overwrite<std::size_t[]>(nb * slots);
+    auto for_block = [&](std::size_t blk, const auto& f) {
+      const std::size_t lo = blk * parlib::kSeqBlockSize;
+      const std::size_t hi = std::min(count, lo + parlib::kSeqBlockSize);
+      for (std::size_t i = lo; i < hi; ++i) {
+        const auto [v, b] = get(i);
+        if (b != kNullBucket) f(v, slot_of(b));
+      }
+    };
     parlib::parallel_for(
-        0, open_ + 1,
-        [&](std::size_t s) {
-          const std::size_t lo = starts[s], hi = starts[s + 1];
-          if (lo == hi) return;
-          auto& vec = bkts_[s];
-          const std::size_t old = vec.size();
-          vec.resize(old + (hi - lo));
-          for (std::size_t i = lo; i < hi; ++i) {
-            vec[old + (i - lo)] = slotted[i].first;
-          }
+        0, nb,
+        [&](std::size_t blk) {
+          std::size_t* c = offsets.get() + blk * slots;
+          std::fill(c, c + slots, std::size_t{0});
+          for_block(blk, [&](vertex_id, std::size_t s) { ++c[s]; });
         },
         1);
+    parlib::parallel_for(
+        0, slots,
+        [&](std::size_t s) {
+          std::size_t end = bkts_[s].size();
+          for (std::size_t blk = 0; blk < nb; ++blk) {
+            const std::size_t c = offsets[blk * slots + s];
+            offsets[blk * slots + s] = end;
+            end += c;
+          }
+          bkts_[s].resize(end);
+        },
+        1);
+    parlib::parallel_for(
+        0, nb,
+        [&](std::size_t blk) {
+          std::size_t* o = offsets.get() + blk * slots;
+          for_block(blk,
+                    [&](vertex_id v, std::size_t s) { bkts_[s][o[s]++] = v; });
+        },
+        1);
+  }
+
+  void update_buckets(
+      const std::vector<std::pair<vertex_id, bucket_id>>& updates) {
+    update_buckets(updates.size(), [&](std::size_t i) { return updates[i]; });
   }
 
   // Destination bucket for an identifier whose bucket changed from prev to
@@ -189,17 +205,49 @@ class buckets {
                : open_;
   }
 
-  void bulk_insert(const std::vector<vertex_id>& ids) {
-    std::vector<std::pair<vertex_id, bucket_id>> updates(ids.size());
-    parlib::parallel_for(0, ids.size(), [&](std::size_t i) {
-      updates[i] = {ids[i], d_(ids[i])};
+  // Re-center the window on the extreme bucket of `live` and insert it.
+  void reseed(const std::vector<vertex_id>& live) {
+    auto bks = parlib::map(live, [&](vertex_id v) {
+      return static_cast<std::int64_t>(d_(v));
     });
-    update_buckets(updates);
+    base_ = order_ == bucket_order::increasing
+                ? parlib::reduce(bks, parlib::min_monoid<std::int64_t>())
+                : parlib::reduce(bks, parlib::max_monoid<std::int64_t>());
+    cur_ = base_;
+    update_buckets(live.size(), [&](std::size_t i) {
+      return std::make_pair(live[i], d_(live[i]));
+    });
+  }
+
+  // The first copy of every identifier in `ids`, in order: each copy
+  // write_min's its position into first_pos_, the copies whose position
+  // stands are kept, and the kept identifiers' marks are reset.
+  std::vector<vertex_id> first_copies(const std::vector<vertex_id>& ids) {
+    constexpr std::size_t kUnmarked = std::numeric_limits<std::size_t>::max();
+    if (!first_pos_) {
+      first_pos_ = std::make_unique_for_overwrite<std::size_t[]>(n_);
+      parlib::parallel_for(0, n_,
+                           [&](std::size_t v) { first_pos_[v] = kUnmarked; });
+    }
+    parlib::parallel_for(0, ids.size(), [&](std::size_t i) {
+      parlib::write_min(&first_pos_[ids[i]], i);
+    });
+    auto kept = parlib::compact<vertex_id>(
+        ids.size(), [&](std::size_t i) { return first_pos_[ids[i]] == i; },
+        [&](std::size_t i) { return ids[i]; });
+    parlib::parallel_for(0, kept.size(), [&](std::size_t i) {
+      first_pos_[kept[i]] = kUnmarked;
+    });
+    return kept;
   }
 
   D d_;
   bucket_order order_;
   std::size_t open_;
+  vertex_id n_;
+  // Overflow dedup marks, allocated at the first redistribution and kept
+  // all-unmarked between redistributions.
+  std::unique_ptr<std::size_t[]> first_pos_;
   std::vector<std::vector<vertex_id>> bkts_;  // open_ window slots + overflow
   std::int64_t base_ = 0;
   std::int64_t cur_ = 0;

@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -185,7 +186,10 @@ vertex_subset edge_map_blocked(const Graph& g, vertex_subset& frontier,
     block_vertex[b] = static_cast<std::size_t>(it - offsets.begin()) - 1;
   });
   block_vertex[nblocks] = ids.size();
-  std::vector<vertex_id> scratch(total);
+  // Block b writes only its live prefix of [b * bsize, (b + 1) * bsize):
+  // uninitialized, so the never-read rest costs neither a zero-fill nor
+  // its first-touch page faults.
+  auto scratch = std::make_unique_for_overwrite<vertex_id[]>(total);
   std::vector<std::size_t> live_counts(nblocks);
   parlib::parallel_for(
       0, nblocks,
@@ -224,8 +228,8 @@ vertex_subset edge_map_blocked(const Graph& g, vertex_subset& frontier,
   const std::size_t n_live = parlib::scan_inplace(out_offsets);
   std::vector<vertex_id> live(n_live);
   parlib::parallel_for(0, nblocks, [&](std::size_t b) {
-    std::copy(scratch.begin() + b * kEdgeMapBlock,
-              scratch.begin() + b * kEdgeMapBlock + live_counts[b],
+    std::copy(scratch.get() + b * kEdgeMapBlock,
+              scratch.get() + b * kEdgeMapBlock + live_counts[b],
               live.begin() + out_offsets[b]);
   });
   auto& ctr = parlib::event_counters::global();
@@ -317,7 +321,13 @@ vertex_subset_data<D> edge_map_data(const Graph& g, vertex_subset& frontier,
     block_vertex[b] = static_cast<std::size_t>(it - offsets.begin()) - 1;
   });
   block_vertex[nblocks] = ids.size();
-  std::vector<KV> scratch(total);
+  // As in edge_map_blocked: uninitialized, each block writes only its live
+  // prefix. (A std::pair would be value-initialized; this aggregate is not.)
+  struct slot {
+    vertex_id v;
+    D d;
+  };
+  auto scratch = std::make_unique_for_overwrite<slot[]>(total);
   std::vector<std::size_t> live_counts(nblocks);
   parlib::parallel_for(
       0, nblocks,
@@ -341,7 +351,7 @@ vertex_subset_data<D> edge_map_data(const Graph& g, vertex_subset& frontier,
           g.map_out_neighbors_range(u, lo, hi, [&](vertex_id, vertex_id v, auto w) {
             if (f.cond(v)) {
               if (std::optional<D> r = f.update_atomic(u, v, w)) {
-                scratch[out_k++] = {v, *r};
+                scratch[out_k++] = slot{v, *r};
               }
             }
           });
@@ -355,9 +365,10 @@ vertex_subset_data<D> edge_map_data(const Graph& g, vertex_subset& frontier,
   const std::size_t n_live = parlib::scan_inplace(out_offsets);
   std::vector<KV> live(n_live);
   parlib::parallel_for(0, nblocks, [&](std::size_t b) {
-    std::copy(scratch.begin() + b * kBlock,
-              scratch.begin() + b * kBlock + live_counts[b],
-              live.begin() + out_offsets[b]);
+    const slot* in = scratch.get() + b * kBlock;
+    for (std::size_t i = 0; i < live_counts[b]; ++i) {
+      live[out_offsets[b] + i] = KV{in[i].v, in[i].d};
+    }
   });
   auto& ctr = parlib::event_counters::global();
   ctr.edgemap_edges_examined.fetch_add(total, std::memory_order_relaxed);

@@ -10,22 +10,18 @@
 // self-loops (the builder enforces this), which is what the merge-based
 // triangle-counting intersection and the compressed format both rely on.
 //
-// Each vertex also carries a *live degree* that in-place neighborhood
-// packing (pack_out) may shrink — the primitive behind the work-efficient
-// approximate set cover (Algorithm 14 "Pack out neighbors of sets that are
-// covered").
+// Out-degrees are also kept as one 4-byte array, so out_degree is a
+// single load.
 //
 // Ownership. The CSR arrays live in one refcounted block shared between
 // all copies of a graph: copying a graph<W> is O(1) (a shared_ptr bump),
 // which is what lets the serving layer publish a merged CSR and install
 // the *same* arrays as the dynamic graph's compacted base with zero
 // copies, and lets readers hold a snapshot's arrays alive after the
-// writer that built them is gone. The arrays are immutable while shared;
-// the one mutating primitive, pack_out, goes through a copy-on-write
-// escape hatch (unshare()) that clones the block iff another owner
-// exists. Callers that pack in parallel must call unshare() once, from a
-// single thread, before the parallel phase — concurrent first-clones
-// would race.
+// writer that built them is gone. No method mutates the arrays after
+// construction, so sharing them needs no copy-on-write: an algorithm that
+// shrinks adjacency lists as it goes (approximate set cover's packing)
+// packs its own copy of the rows it needs.
 #pragma once
 
 #include <cassert>
@@ -80,7 +76,7 @@ class graph {
     s_->in_edges = std::move(in_edges);
     s_->in_weights = std::move(in_weights);
     assert(s_->out_offsets.size() == static_cast<std::size_t>(n_) + 1);
-    s_->out_live_deg = parlib::tabulate<vertex_id>(n_, [&](std::size_t v) {
+    s_->out_degrees = parlib::tabulate<vertex_id>(n_, [&](std::size_t v) {
       return static_cast<vertex_id>(s_->out_offsets[v + 1] -
                                     s_->out_offsets[v]);
     });
@@ -101,15 +97,7 @@ class graph {
   // Owners of this graph's CSR block (1 = uniquely owned).
   long storage_use_count() const { return s_.use_count(); }
 
-  // Copy-on-write escape hatch: clone the CSR block iff it is shared, so
-  // subsequent in-place mutation (pack_out) cannot be observed through
-  // other owners. Must not race with other accesses to this same graph
-  // object; call once from a single thread before parallel packing.
-  void unshare() {
-    if (s_.use_count() > 1) s_ = std::make_shared<storage>(*s_);
-  }
-
-  vertex_id out_degree(vertex_id v) const { return s_->out_live_deg[v]; }
+  vertex_id out_degree(vertex_id v) const { return s_->out_degrees[v]; }
   vertex_id in_degree(vertex_id v) const {
     if (symmetric_) return out_degree(v);
     return static_cast<vertex_id>(s_->in_offsets[v + 1] - s_->in_offsets[v]);
@@ -250,34 +238,7 @@ class graph {
     return c;
   }
 
-  // In-place pack: keep out-neighbors satisfying pred(v, ngh, w), shrinking
-  // the live degree. Stable; preserves sortedness. O(deg(v)) work.
-  //
-  // Mutates the CSR block: unshares first (COW), so other owners of a
-  // previously shared block are unaffected. When packing many vertices in
-  // parallel, call unshare() once before the parallel loop — the per-call
-  // unshare below is then a no-op use_count read.
-  template <typename F>
-  void pack_out(vertex_id v, const F& pred) {
-    unshare();
-    const auto base = s_->out_offsets[v];
-    const auto deg = out_degree(v);
-    std::size_t k = 0;
-    for (std::size_t j = 0; j < deg; ++j) {
-      const vertex_id ngh = s_->out_edges[base + j];
-      const W w = weight_at(base, j);
-      if (pred(v, ngh, w)) {
-        s_->out_edges[base + k] = ngh;
-        if constexpr (!std::is_same_v<W, empty_weight>) {
-          s_->out_weights[base + k] = w;
-        }
-        ++k;
-      }
-    }
-    s_->out_live_deg[v] = static_cast<vertex_id>(k);
-  }
-
-  // All out-edges as a flat list (respects live degrees).
+  // All out-edges as a flat list.
   std::vector<edge<W>> edges() const {
     auto degs = parlib::tabulate<edge_id>(
         n_, [&](std::size_t v) { return out_degree(static_cast<vertex_id>(v)); });
@@ -304,8 +265,7 @@ class graph {
   }
 
  private:
-  // The refcounted CSR block. Immutable while shared; pack_out clones it
-  // on first write (unshare).
+  // The refcounted CSR block; immutable once built.
   struct storage {
     std::vector<edge_id> out_offsets;
     std::vector<vertex_id> out_edges;
@@ -313,7 +273,7 @@ class graph {
     std::vector<edge_id> in_offsets;
     std::vector<vertex_id> in_edges;
     std::vector<W> in_weights;
-    std::vector<vertex_id> out_live_deg;
+    std::vector<vertex_id> out_degrees;
   };
 
   W weight_at(edge_id base, std::size_t j) const {

@@ -195,14 +195,13 @@ sequence<T> flatten(const sequence<sequence<T>>& seqs) {
 
 // ------------------------------------------------------------ filter/pack
 
-namespace internal {
-
-// The blocked compaction behind filter, pack and pack_index: a parallel
-// pass counts the kept slots of each kSeqBlockSize block, a scan over the
-// per-block counts gives each block its output offset, and a second
-// parallel pass writes get(i) for every kept slot i. The only scratch is
-// the n / kSeqBlockSize block counts. keep(i) runs twice per slot, so it
-// must be pure.
+// get(i) for every index i < n with keep(i), in order: the blocked
+// compaction behind filter, pack and pack_index. A parallel pass counts
+// the kept slots of each kSeqBlockSize block, a scan over the per-block
+// counts gives each block its output offset, and a second parallel pass
+// writes get(i) for every kept slot i. The only scratch is the
+// n / kSeqBlockSize block counts. keep(i) runs twice per slot, so it must
+// be pure.
 template <typename T, typename Keep, typename Get>
 sequence<T> compact(std::size_t n, const Keep& keep, const Get& get) {
   const std::size_t nb = num_blocks(n, kSeqBlockSize);
@@ -238,14 +237,12 @@ sequence<T> compact(std::size_t n, const Keep& keep, const Get& get) {
   return out;
 }
 
-}  // namespace internal
-
 // Returns elements of `in` satisfying `pred`, preserving order. pred runs
 // twice per element.
 template <typename In, typename F>
 auto filter(const In& in, const F& pred) {
   using T = std::decay_t<decltype(in[0])>;
-  return internal::compact<T>(
+  return compact<T>(
       in.size(), [&](std::size_t i) { return pred(in[i]); },
       [&](std::size_t i) { return in[i]; });
 }
@@ -255,7 +252,7 @@ template <typename In, typename Flags>
 auto pack(const In& in, const Flags& flags) {
   using T = std::decay_t<decltype(in[0])>;
   assert(flags.size() == in.size());
-  return internal::compact<T>(
+  return compact<T>(
       in.size(), [&](std::size_t i) { return static_cast<bool>(flags[i]); },
       [&](std::size_t i) { return in[i]; });
 }
@@ -263,7 +260,7 @@ auto pack(const In& in, const Flags& flags) {
 // Indices i (as IdxT) where flags[i] is truthy.
 template <typename IdxT, typename Flags>
 sequence<IdxT> pack_index(const Flags& flags) {
-  return internal::compact<IdxT>(
+  return compact<IdxT>(
       flags.size(),
       [&](std::size_t i) { return static_cast<bool>(flags[i]); },
       [](std::size_t i) { return static_cast<IdxT>(i); });

@@ -1,7 +1,9 @@
 // Tests for the Julienne bucketing structure: traversal order, lazy
 // deletion, window overflow and redistribution, both directions.
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,6 +206,67 @@ TEST(Bucketing, OverflowDeduplicatesRepeatedInserts) {
     }
   }
   EXPECT_EQ(pops_of_3, 1u);
+}
+
+// Pops everything: (bucket, identifiers in pop order) per round, checking
+// that each identifier comes out once, in its current bucket.
+template <typename B>
+std::vector<std::pair<bucket_id, std::vector<vertex_id>>> drain(
+    B& b, std::vector<bucket_id>& d) {
+  std::vector<std::pair<bucket_id, std::vector<vertex_id>>> seq;
+  while (true) {
+    auto [bkt, ids] = b.next_bucket();
+    if (bkt == kNullBucket) break;
+    for (vertex_id v : ids) {
+      EXPECT_EQ(d[v], bkt) << v;
+      d[v] = kNullBucket;  // a second pop of v would fail the check above
+    }
+    seq.emplace_back(bkt, std::move(ids));
+  }
+  return seq;
+}
+
+TEST(Bucketing, InterleavedOverflowCopiesPopOnceInSameOrderAtAnyWorkerCount) {
+  // Three passes move every identifier beyond an 8-bucket window, in a
+  // different order each pass, so the overflow holds three interleaved
+  // copies of each; some identifiers finish in between. Sized above one
+  // block so the parallel update and dedup paths run.
+  auto run = [] {
+    const vertex_id n = 6000;
+    std::vector<bucket_id> d(n);
+    for (vertex_id v = 0; v < n; ++v) d[v] = v % 4;
+    auto b = gbbs::buckets(
+        n, [&](vertex_id v) { return d[v]; }, bucket_order::increasing, 8);
+    for (bucket_id pass = 0; pass < 3; ++pass) {
+      std::vector<std::pair<vertex_id, bucket_id>> moves;
+      for (vertex_id i = 0; i < n; ++i) {
+        const vertex_id v = pass == 1 ? n - 1 - i : (i * 7 + pass) % n;
+        if (d[v] == kNullBucket) continue;
+        d[v] = 100 + (v * 31 + pass * 17) % 1000;
+        moves.push_back({v, d[v]});
+      }
+      b.update_buckets(moves);
+      for (vertex_id v = pass; v < n; v += 97) d[v] = kNullBucket;
+    }
+    std::vector<bucket_id> live = d;
+    const std::size_t expected =
+        n - std::count(live.begin(), live.end(), kNullBucket);
+    auto seq = drain(b, d);
+    std::size_t popped = 0;
+    for (const auto& [bkt, ids] : seq) {
+      popped += ids.size();
+      EXPECT_GE(bkt, 100u);
+    }
+    EXPECT_EQ(popped, expected);
+    return seq;
+  };
+  decltype(run()) one;
+  {
+    parlib::active_workers_guard single(1);
+    one = run();
+  }
+  const auto all = run();
+  EXPECT_EQ(all, one);
 }
 
 TEST(Bucketing, RoundsCounterTracksPops) {

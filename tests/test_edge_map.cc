@@ -33,7 +33,8 @@ struct acquire_f {
   bool update_atomic(vertex_id, vertex_id v, empty_weight) const {
     return parlib::test_and_set(&(*visited)[v]);
   }
-  bool cond(vertex_id v) const { return !(*visited)[v]; }
+  // Atomic: sparse modes call cond while other tasks test-and-set.
+  bool cond(vertex_id v) const { return !parlib::atomic_load(&(*visited)[v]); }
 };
 
 std::vector<vertex_id> sorted_ids(vertex_subset vs) {
@@ -204,6 +205,60 @@ TEST(EdgeMap, DenseForwardOnDirectedGraph) {
   fwd.dense_forward = true;
   auto next = gbbs::edge_map(g, frontier, acquire_f{&visited}, fwd);
   EXPECT_EQ(sorted_ids(std::move(next)), (std::vector<vertex_id>{1}));
+}
+
+// Acquires unvisited targets and ships a payload derived from the id.
+struct acquire_data_f {
+  std::vector<std::uint8_t>* visited;
+  bool cond(vertex_id v) const { return !parlib::atomic_load(&(*visited)[v]); }
+  std::optional<std::uint32_t> update_atomic(vertex_id, vertex_id v,
+                                             empty_weight) const {
+    if (parlib::test_and_set(&(*visited)[v])) return v * 3 + 1;
+    return std::nullopt;
+  }
+};
+
+TEST(EdgeMap, BlockedEqualsUnblockedWhenMostBlocksEmitNothing) {
+  // Every vertex is in the frontier (dozens of 4K-edge blocks), but only
+  // three low-degree vertices are still unvisited, so most blocks emit
+  // nothing and the blocks that do emit write a short live prefix.
+  auto g = gbbs::rmat_symmetric(12, 60000, 41);
+  const vertex_id n = g.num_vertices();
+  std::vector<std::uint8_t> visited(n, 1);
+  std::vector<vertex_id> open;
+  for (vertex_id v = 0; v < n && open.size() < 3; ++v) {
+    if (g.out_degree(v) >= 1 && g.out_degree(v) <= 2) open.push_back(v);
+  }
+  ASSERT_EQ(open.size(), 3u);
+  for (vertex_id v : open) visited[v] = 0;
+  const auto all = parlib::iota<vertex_id>(n);
+  ASSERT_GT(g.num_edges(), 8 * gbbs::internal::kEdgeMapBlock);
+
+  std::vector<std::uint8_t> vis_blocked = visited, vis_plain = visited;
+  vertex_subset fb(n, all), fp(n, all);
+  const auto blocked = sorted_ids(
+      gbbs::edge_map(g, fb, acquire_f{&vis_blocked}, mode_options(0)));
+  const auto plain = sorted_ids(
+      gbbs::edge_map(g, fp, acquire_f{&vis_plain}, mode_options(1)));
+  EXPECT_EQ(blocked, open);
+  EXPECT_EQ(plain, open);
+
+  auto entries = [&](bool use_blocked) {
+    std::vector<std::uint8_t> vis = visited;
+    vertex_subset f(n, all);
+    auto out = gbbs::edge_map_data<std::uint32_t>(g, f, acquire_data_f{&vis},
+                                                  use_blocked);
+    auto e = out.entries();
+    std::sort(e.begin(), e.end());
+    return e;
+  };
+  const auto data_blocked = entries(true);
+  EXPECT_EQ(data_blocked, entries(false));
+  ASSERT_EQ(data_blocked.size(), open.size());
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    EXPECT_EQ(data_blocked[i].first, open[i]);
+    EXPECT_EQ(data_blocked[i].second, open[i] * 3 + 1);
+  }
 }
 
 struct min_payload_f {

@@ -1,5 +1,5 @@
 // Tests for CSR construction: sorting, dedup, self-loop removal,
-// symmetrization, in-CSR transposition, pack_out, filter_graph, and the
+// symmetrization, in-CSR transposition, filter_graph, and the
 // two-level builder against a sequential stable-sort reference.
 #include <algorithm>
 #include <numeric>
@@ -118,21 +118,6 @@ TEST(GraphBuild, EdgesRoundTrip) {
     auto b = g2.out_neighbors(v);
     ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
   }
-}
-
-TEST(GraphBuild, PackOutShrinksLiveDegree) {
-  auto g = gbbs::rmat_symmetric(8, 2000, 5);
-  const vertex_id v = 1;
-  const auto before = g.out_degree(v);
-  g.pack_out(v, [](vertex_id, vertex_id ngh, empty_weight) {
-    return ngh % 2 == 0;
-  });
-  const auto after = g.out_degree(v);
-  EXPECT_LE(after, before);
-  for (vertex_id u : g.out_neighbors(v)) ASSERT_EQ(u % 2, 0u);
-  // Still sorted.
-  auto nghs = g.out_neighbors(v);
-  EXPECT_TRUE(std::is_sorted(nghs.begin(), nghs.end()));
 }
 
 TEST(GraphBuild, FilterGraphKeepsExactlyPredicateEdges) {

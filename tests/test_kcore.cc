@@ -97,6 +97,44 @@ TEST(Kcore, LargeSkewedGraphMatchesOracle) {
   EXPECT_EQ(got.max_core, refmax);
 }
 
+TEST(Kcore, RoundsOnBothSidesOfSequentialCutoff) {
+  // R-MAT 13 plus a star hub whose degree alone exceeds the one-block
+  // sequential cutoff: small rounds take the one-thread counting, the hub's
+  // round and the big early rounds the range-partitioned one. Both must
+  // agree with the oracle, with each other, and with themselves at 1
+  // worker.
+  const vertex_id base = vertex_id{1} << 13;
+  const vertex_id leaves =
+      static_cast<vertex_id>(gbbs::kcore_internal::kEdgeBlock);
+  const vertex_id hub = base;
+  const vertex_id n = base + 1 + leaves;
+  auto edges = gbbs::rmat_symmetric(13, std::size_t{16} << 13, 211).edges();
+  for (vertex_id v = 0; v < base; v += 3) edges.push_back({hub, v, {}});
+  for (vertex_id j = 0; j < leaves; ++j) {
+    edges.push_back({hub, base + 1 + j, {}});
+  }
+  auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(n, edges);
+  ASSERT_GT(g.out_degree(hub), gbbs::kcore_internal::kEdgeBlock);
+
+  const auto expected = gbbs::seq::coreness(g);
+  gbbs::kcore_result one, one_fa;
+  {
+    parlib::active_workers_guard single(1);
+    one = gbbs::kcore(g);
+    one_fa = gbbs::kcore(g, gbbs::kcore_variant::fetch_and_add);
+  }
+  const auto all = gbbs::kcore(g);
+  const auto all_fa = gbbs::kcore(g, gbbs::kcore_variant::fetch_and_add);
+  EXPECT_EQ(all.coreness, expected);
+  EXPECT_EQ(one.coreness, expected);
+  EXPECT_EQ(all_fa.coreness, expected);
+  EXPECT_EQ(one_fa.coreness, expected);
+  EXPECT_EQ(all.num_rounds, one.num_rounds);
+  EXPECT_EQ(all_fa.num_rounds, all.num_rounds);
+  EXPECT_EQ(one_fa.num_rounds, all.num_rounds);
+  EXPECT_EQ(all.max_core, one.max_core);
+}
+
 TEST(Kcore, RhoCountsPeelingRounds) {
   auto g = gbbs::testing::make_symmetric("rmat");
   auto res = gbbs::kcore(g);

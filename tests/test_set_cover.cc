@@ -123,6 +123,37 @@ TEST(SetCover, TorusNeighborhoodInstanceTerminates) {
   }
 }
 
+TEST(SetCover, LeavesInputUnchangedAndIsIndependentOfWorkerCount) {
+  // Set cover packs its own copy of the set rows; the caller's rows and
+  // degrees must survive. One set of 2000 elements takes the parallel
+  // per-row paths.
+  const vertex_id sets = 2000, elements = 20000;
+  auto edges = gbbs::bipartite_cover_edges(sets, elements, 20, 17);
+  for (vertex_id e = 0; e < 2000; ++e) edges.push_back({0, sets + e * 10, {}});
+  auto g = gbbs::build_symmetric_graph<gbbs::empty_weight>(sets + elements,
+                                                           edges);
+  auto rows = [&] {
+    std::vector<std::vector<vertex_id>> out(g.num_vertices());
+    for (vertex_id v = 0; v < g.num_vertices(); ++v) {
+      auto nghs = g.out_neighbors(v);
+      out[v].assign(nghs.begin(), nghs.end());
+      EXPECT_EQ(g.out_degree(v), out[v].size());
+    }
+    return out;
+  };
+  const auto before = rows();
+  gbbs::set_cover_result one;
+  {
+    parlib::active_workers_guard single(1);
+    one = gbbs::set_cover(g, sets);
+  }
+  const auto all = gbbs::set_cover(g, sets);
+  EXPECT_EQ(rows(), before);
+  EXPECT_EQ(all.cover, one.cover);
+  EXPECT_EQ(all.num_rounds, one.num_rounds);
+  EXPECT_TRUE(gbbs::seq::covers_all(g, sets, all.cover));
+}
+
 TEST(SetCover, EpsilonVariantsAllCover) {
   auto g = cover_instance(200, 1500, 12, 9);
   for (double eps : {0.01, 0.1, 0.5}) {

@@ -1,7 +1,5 @@
 // Shared-ownership CSR storage (graph.h) and its serving-layer contract:
-//   * graph<W> copies share one refcounted CSR block (O(1) copy); the
-//     copy-on-write escape hatch (pack_out / unshare) detaches mutators
-//     without disturbing other owners;
+//   * graph<W> copies share one refcounted CSR block (O(1) copy);
 //   * publish shares the merged CSR between the published version and the
 //     dynamic graph's new base — zero post-merge copies — and an
 //     empty-overlay publish allocates no CSR at all (O(1));
@@ -75,36 +73,6 @@ TEST(SharedCsr, CopySharesStorage) {
     EXPECT_EQ(g.storage_use_count(), 3);
   }
   EXPECT_EQ(g.storage_use_count(), 2);
-}
-
-TEST(SharedCsr, PackOutDetachesViaCow) {
-  auto g = gbbs::build_symmetric_graph<empty_weight>(
-      4, std::vector<uw_edge>{{0, 1, {}}, {0, 2, {}}, {0, 3, {}}});
-  gbbs::graph<empty_weight> copy = g;
-  ASSERT_TRUE(copy.shares_storage(g));
-  // Mutating the copy clones the block; the original is untouched.
-  copy.pack_out(0, [](vertex_id, vertex_id ngh, empty_weight) {
-    return ngh != 2;
-  });
-  EXPECT_FALSE(copy.shares_storage(g));
-  EXPECT_EQ(copy.out_degree(0), 2u);
-  EXPECT_EQ(g.out_degree(0), 3u);
-  auto nghs = g.out_neighbors(0);
-  EXPECT_EQ(std::vector<vertex_id>(nghs.begin(), nghs.end()),
-            (std::vector<vertex_id>{1, 2, 3}));
-}
-
-TEST(SharedCsr, UnshareClonesOnlyWhenShared) {
-  auto g = gbbs::build_symmetric_graph<empty_weight>(
-      3, std::vector<uw_edge>{{0, 1, {}}});
-  g.unshare();  // unique owner: must keep the same block
-  EXPECT_EQ(g.storage_use_count(), 1);
-  gbbs::graph<empty_weight> copy = g;
-  copy.unshare();  // shared: detaches
-  EXPECT_FALSE(copy.shares_storage(g));
-  EXPECT_EQ(g.storage_use_count(), 1);
-  EXPECT_EQ(copy.storage_use_count(), 1);
-  expect_same_csr(copy, g);
 }
 
 // ---- zero-copy publish ----------------------------------------------------

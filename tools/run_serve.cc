@@ -7,7 +7,8 @@
 // update and query throughput, p50/p90/p99 query latency, and a per-kind
 // latency/SLO table.
 //
-// Flags (besides the shared runner.h set):
+// Flags (besides the shared runner.h set; any other argument exits 2 with
+// a usage line):
 //   -batch <b>        updates per ingest batch (default 1 << 13)
 //   -readers <r>      query reader threads (default 4)
 //   -shards <s>       multi-writer sharded ingest (serve/sharded_ingest.h):
@@ -166,6 +167,17 @@ int main(int argc, char** argv) {
       trace_out = argv[++i];
     } else if (!std::strcmp(argv[i], "-slow-trace-ms") && i + 1 < argc) {
       slow_trace_ms = std::strtod(argv[++i], nullptr);
+    } else if (const int arity = tools::shared_flag_arity(argv[i]);
+               arity >= 0) {
+      i += arity;  // parsed by tools::parse
+    } else {
+      std::fprintf(stderr,
+                   "run_serve: unknown argument '%s'\n"
+                   "usage: run_serve [-g spec | -f path | -a path] [-src v] "
+                   "[-rounds k] [-seed s] [-verify] [serve flags: see the "
+                   "header of tools/run_serve.cc]\n",
+                   argv[i]);
+      return 2;
     }
   }
   if (batch_size == 0) batch_size = 1;

@@ -69,6 +69,19 @@ inline options parse(int argc, char** argv) {
   return o;
 }
 
+// Values a shared flag takes (0 or 1), or -1 if `flag` is none of the
+// flags above. Tools with flags of their own use it to reject an argument
+// that neither parser knows.
+inline int shared_flag_arity(const char* flag) {
+  for (const char* f : {"-g", "-f", "-a", "-src", "-rounds", "-seed"}) {
+    if (!std::strcmp(flag, f)) return 1;
+  }
+  for (const char* f : {"-verify", "-h", "--help"}) {
+    if (!std::strcmp(flag, f)) return 0;
+  }
+  return -1;
+}
+
 inline std::pair<std::string, std::uint32_t> split_gen(
     const std::string& gen) {
   const auto colon = gen.find(':');
